@@ -38,7 +38,7 @@ func RunServer(args []string, stdout, stderr io.Writer) int {
 		maxSessions = fs.Int("max-sessions", 1024, "maximum concurrently open sessions")
 		idle        = fs.Duration("idle-timeout", 2*time.Minute, "close sessions idle this long (0 disables)")
 		readTimeout = fs.Duration("read-timeout", 5*time.Minute, "per-frame TCP read deadline; a half-open peer is cut loose after this (negative disables)")
-		retention   = fs.Int("retention", 4096, "journal depth for resumable sessions; a resume further behind than this is rejected as stale")
+		retention   = fs.Int("retention", 4096, "resume staleness bound: a resume more than this many accepted frames behind is rejected as stale")
 		ackEvery    = fs.Int("ack-every", 32, "ack resumable sessions every N applied frames (clients size in-flight buffers from this)")
 		ingestDelay = fs.Duration("ingest-delay", 0, "artificial per-event processing delay (testing/demos)")
 		workers     = fs.Int("workers", 1, "parallel workers for snapshot detection queries (0 = GOMAXPROCS)")

@@ -48,11 +48,10 @@ type NodeConfig struct {
 // hostedSession is the replication state of one keyed session this node
 // hosts: the keyed hello plus every accepted sequenced frame from seq 1,
 // in order — frames[i] carries seq i+1. This is deliberately the full
-// frame log, not the server's bounded metadata journal: a replica
-// rebuilds the session by replaying it through the same deterministic
-// monitor pipeline, which is what makes post-failover verdicts
-// bit-identical. The log lives for the session's lifetime and is
-// released once every replica has acknowledged its bye.
+// frame log: a replica rebuilds the session by replaying it through the
+// same deterministic monitor pipeline, which is what makes post-failover
+// verdicts bit-identical. The log lives for the session's lifetime and
+// is released once every replica has acknowledged its bye.
 type hostedSession struct {
 	key      string
 	hello    server.ClientFrame

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"repro/internal/computation"
+	"repro/internal/pir"
 	"repro/internal/vclock"
 )
 
@@ -41,23 +42,28 @@ type Monitor struct {
 	lens     []int       // events observed per process
 	vals     []map[string]int
 	initVals []map[string]int
-	// stateClocks[i][k] is the clock of the event that started local
-	// state k of process i (nil for k = 0: started at -∞).
-	stateClocks [][]vclock.VC
+	// start is the clock of the event being stepped — the one that began
+	// its process's current local state — copied on the first startClock
+	// request within the step and shared read-only by every watch that
+	// asks. Nil until a watch asks; reset by each step.
+	start vclock.VC
 
 	nextMsg  int
-	sends    map[int]sendInfo
-	received map[int]bool
+	sends    map[int]sendInfo // every message ever sent; see sendInfo
 	inFlight int
 
-	// Trace replay for Snapshot. Never populated in bounded mode.
-	rec []recEvent
+	// rec is the replay record Snapshot materializes: one row per event,
+	// append-only, in observation order, with wire (1-based) process ids
+	// and the monitor's own message ids. Never populated in bounded mode.
+	// The columns bound one monitor to 2³¹-1 sends (Msgs is int32) and
+	// 2³²-1 assignments in total (SetOff is uint32); the record outgrows
+	// memory long before either.
+	rec pir.Batch
 
-	// bounded, when set, drops the per-event history (rec and the
-	// stateClocks columns): the monitor keeps only the frontier (current
-	// clocks, valuations, in-flight sends) plus each watch's slice cursor,
-	// so a long-lived session holds O(n + slice) state instead of O(|E|).
-	// Snapshot — and with it Detect — is unavailable.
+	// bounded, when set, drops rec: the monitor keeps only the frontier
+	// (current clocks, valuations, in-flight sends) plus each watch's slice
+	// cursor, so a long-lived session holds O(n + slice) state instead of
+	// O(|E|). Snapshot — and with it Detect — is unavailable.
 	bounded bool
 
 	efWatches     []*EFWatch
@@ -67,16 +73,14 @@ type Monitor struct {
 	met *monMetrics // nil unless Instrument was called
 }
 
+// sendInfo is the monitor's entry for one sent message. clock is the
+// send event's clock while the message is in flight and nil once it has
+// been received, so the table holds a clock per in-flight message and
+// only a tombstone (telling "received twice" from "unknown message") per
+// delivered one.
 type sendInfo struct {
 	proc  int
 	clock vclock.VC
-}
-
-type recEvent struct {
-	proc int
-	kind computation.Kind
-	msg  int
-	sets map[string]int
 }
 
 // NewMonitor returns a monitor for n processes.
@@ -85,20 +89,17 @@ func NewMonitor(n int) *Monitor {
 		panic("online: need at least one process")
 	}
 	m := &Monitor{
-		n:           n,
-		clocks:      make([]vclock.VC, n),
-		lens:        make([]int, n),
-		vals:        make([]map[string]int, n),
-		initVals:    make([]map[string]int, n),
-		stateClocks: make([][]vclock.VC, n),
-		sends:       make(map[int]sendInfo),
-		received:    make(map[int]bool),
+		n:        n,
+		clocks:   make([]vclock.VC, n),
+		lens:     make([]int, n),
+		vals:     make([]map[string]int, n),
+		initVals: make([]map[string]int, n),
+		sends:    make(map[int]sendInfo),
 	}
 	for i := 0; i < n; i++ {
 		m.clocks[i] = vclock.New(n)
 		m.vals[i] = make(map[string]int)
 		m.initVals[i] = make(map[string]int)
-		m.stateClocks[i] = []vclock.VC{nil}
 	}
 	return m
 }
@@ -137,19 +138,18 @@ func (m *Monitor) Retained() int {
 }
 
 // startClock returns the vector clock of the event that began proc's
-// current local state (nil for state 0, which began at -∞). Unbounded
-// monitors read it from the stateClocks history; bounded monitors return
-// a copy of the running clock, which is identical because the watches
-// only ever ask about the state the event just appended.
+// current local state (nil for state 0, which began at -∞). Watches only
+// ever ask about the process whose event is being stepped, so that is the
+// running clock; it is copied once per step, on the first request, and
+// every watch that asks shares the copy read-only.
 func (m *Monitor) startClock(proc int) vclock.VC {
-	k := m.lens[proc]
-	if k == 0 {
+	if m.lens[proc] == 0 {
 		return nil
 	}
-	if m.bounded {
-		return m.clocks[proc].Copy()
+	if m.start == nil {
+		m.start = m.clocks[proc].Copy()
 	}
-	return m.stateClocks[proc][k]
+	return m.start
 }
 
 // checkProc panics when proc is not a valid process index. Passing an
@@ -204,7 +204,7 @@ func (m *Monitor) SetInitial(proc int, name string, value int) {
 // assignments (may be nil). It panics when proc is out of range.
 func (m *Monitor) Internal(proc int, sets map[string]int) {
 	m.checkProc(proc)
-	m.step(proc, computation.Internal, 0, sets)
+	m.step(proc, pir.EvInternal, 0, sets)
 }
 
 // Send observes a send event and returns the message id to pass to the
@@ -213,7 +213,7 @@ func (m *Monitor) Send(proc int, sets map[string]int) int {
 	m.checkProc(proc)
 	m.nextMsg++
 	id := m.nextMsg
-	m.step(proc, computation.Send, id, sets)
+	m.step(proc, pir.EvSend, id, sets)
 	m.sends[id] = sendInfo{proc: proc, clock: m.clocks[proc].Copy()}
 	m.inFlight++
 	return id
@@ -230,20 +230,20 @@ func (m *Monitor) Receive(proc int, id int, sets map[string]int) error {
 	if !ok {
 		return fmt.Errorf("online: receive of unknown message %d", id)
 	}
-	if m.received[id] {
+	if s.clock == nil {
 		return fmt.Errorf("online: message %d received twice", id)
 	}
 	if s.proc == proc {
 		return fmt.Errorf("online: message %d received by its sender", id)
 	}
 	m.clocks[proc].MergeInto(s.clock)
-	m.received[id] = true
+	m.sends[id] = sendInfo{proc: s.proc}
 	m.inFlight--
-	m.step(proc, computation.Receive, id, sets)
+	m.step(proc, pir.EvReceive, id, sets)
 	return nil
 }
 
-func (m *Monitor) step(proc int, kind computation.Kind, msg int, sets map[string]int) {
+func (m *Monitor) step(proc int, kind byte, msg int, sets map[string]int) {
 	var start time.Time
 	if m.met != nil {
 		start = time.Now()
@@ -253,13 +253,9 @@ func (m *Monitor) step(proc int, kind computation.Kind, msg int, sets map[string
 	for name, v := range sets {
 		m.vals[proc][name] = v
 	}
+	m.start = nil
 	if !m.bounded {
-		m.stateClocks[proc] = append(m.stateClocks[proc], m.clocks[proc].Copy())
-		copied := make(map[string]int, len(sets))
-		for k, v := range sets {
-			copied[k] = v
-		}
-		m.rec = append(m.rec, recEvent{proc: proc, kind: kind, msg: msg, sets: copied})
+		m.rec.AddEvent(proc+1, kind, msg, sets)
 	}
 
 	// Notify watches of the new local state.
@@ -296,20 +292,22 @@ func (m *Monitor) Snapshot() *computation.Computation {
 		}
 	}
 	handles := make(map[int]computation.Msg)
-	for _, r := range m.rec {
+	r := &m.rec
+	for i, n := 0, r.Len(); i < n; i++ {
+		proc := int(r.Procs[i]) - 1
 		var e *computation.Event
-		switch r.kind {
-		case computation.Internal:
-			e = b.Internal(r.proc)
-		case computation.Send:
+		switch r.Kinds[i] {
+		case pir.EvInternal:
+			e = b.Internal(proc)
+		case pir.EvSend:
 			var h computation.Msg
-			e, h = b.Send(r.proc)
-			handles[r.msg] = h
-		case computation.Receive:
-			e = b.Receive(r.proc, handles[r.msg])
+			e, h = b.Send(proc)
+			handles[r.Msg(i)] = h
+		case pir.EvReceive:
+			e = b.Receive(proc, handles[r.Msg(i)])
 		}
-		for name, v := range r.sets {
-			computation.Set(e, name, v)
+		for _, vs := range r.Sets[r.SetOff[i]:r.SetOff[i+1]] {
+			computation.Set(e, vs.Name, vs.Val)
 		}
 	}
 	return b.MustBuild()

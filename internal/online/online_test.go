@@ -276,25 +276,112 @@ func TestSnapshotMatchesDirectBuild(t *testing.T) {
 	comp := sim.Fig4()
 	m := NewMonitor(comp.N())
 	replay(t, comp, m, nil)
-	snap := m.Snapshot()
-	if snap.TotalEvents() != comp.TotalEvents() || snap.N() != comp.N() {
-		t.Fatal("snapshot dimensions differ")
+	sameComputation(t, comp, m.Snapshot())
+}
+
+// sameComputation requires got to be want event for event: dimensions,
+// kinds, vector clocks (hence message pairing), and every variable's
+// value in every local state.
+func sameComputation(t *testing.T, want, got *computation.Computation) {
+	t.Helper()
+	if got.TotalEvents() != want.TotalEvents() || got.N() != want.N() {
+		t.Fatalf("dimensions differ: %d events on %d processes, want %d on %d",
+			got.TotalEvents(), got.N(), want.TotalEvents(), want.N())
 	}
-	for i := 0; i < comp.N(); i++ {
-		for k := 0; k <= comp.Len(i); k++ {
-			for _, name := range comp.Vars(i) {
-				a, _ := comp.Value(i, k, name)
-				b, _ := snap.Value(i, k, name)
+	for i := 0; i < want.N(); i++ {
+		if got.Len(i) != want.Len(i) {
+			t.Fatalf("P%d has %d events, want %d", i+1, got.Len(i), want.Len(i))
+		}
+		names := append(append([]string(nil), want.Vars(i)...), got.Vars(i)...)
+		for k := 0; k <= want.Len(i); k++ {
+			for _, name := range names {
+				a, _ := want.Value(i, k, name)
+				b, _ := got.Value(i, k, name)
 				if a != b {
-					t.Errorf("value %s@P%d state %d: %d vs %d", name, i+1, k, a, b)
+					t.Errorf("value %s@P%d state %d: %d, want %d", name, i+1, k, b, a)
 				}
 			}
 		}
-		for k := 1; k <= comp.Len(i); k++ {
-			if !comp.Event(i, k).Clock.Equal(snap.Event(i, k).Clock) {
-				t.Errorf("clock mismatch at (%d,%d)", i, k)
+		for k := 1; k <= want.Len(i); k++ {
+			w, g := want.Event(i, k), got.Event(i, k)
+			if w.Kind != g.Kind || !w.Clock.Equal(g.Clock) {
+				t.Errorf("event (%d,%d): kind %v clock %v, want kind %v clock %v", i, k, g.Kind, g.Clock, w.Kind, w.Clock)
 			}
 		}
+	}
+}
+
+// TestSnapshotRoundTrip feeds a monitor and a computation.Builder the same
+// stream — initial values, events with several assignments, events with
+// none, crossing messages — and requires the snapshot to equal the built
+// computation: the columnar record must lose nothing the map-per-event
+// record kept.
+func TestSnapshotRoundTrip(t *testing.T) {
+	m := NewMonitor(3)
+	b := computation.NewBuilder(3)
+	m.SetInitial(0, "x", 4)
+	b.SetInitial(0, "x", 4)
+	m.SetInitial(2, "y", -1)
+	b.SetInitial(2, "y", -1)
+	set := func(e *computation.Event, sets map[string]int) {
+		for name, v := range sets {
+			computation.Set(e, name, v)
+		}
+	}
+	internal := func(p int, sets map[string]int) {
+		m.Internal(p, sets)
+		set(b.Internal(p), sets)
+	}
+	send := func(p int, sets map[string]int) (int, computation.Msg) {
+		id := m.Send(p, sets)
+		e, h := b.Send(p)
+		set(e, sets)
+		return id, h
+	}
+	receive := func(p, id int, h computation.Msg, sets map[string]int) {
+		if err := m.Receive(p, id, sets); err != nil {
+			t.Fatal(err)
+		}
+		set(b.Receive(p, h), sets)
+	}
+
+	internal(0, map[string]int{"x": 1, "y": 2, "z": -3})
+	internal(1, nil)
+	id1, h1 := send(0, map[string]int{})
+	id2, h2 := send(2, map[string]int{"y": 7, "x": 0})
+	internal(1, map[string]int{"x": 9})
+	receive(1, id2, h2, nil) // delivered out of send order
+	receive(2, id1, h1, map[string]int{"y": 8, "w": 1})
+	internal(0, nil)
+
+	want, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameComputation(t, want, m.Snapshot())
+}
+
+// TestUnboundedInternalAllocs pins the per-event allocation count of the
+// recording monitor: the record is columnar and amortized, so an event no
+// watch asks about allocates nothing, and one that queues an EF candidate
+// allocates exactly the start clock the candidate keeps. A per-event map
+// or clock copy would show up here as +1.
+func TestUnboundedInternalAllocs(t *testing.T) {
+	m := NewMonitor(3)
+	w := m.WatchEF(Cmp(0, "x", "==", 1), Cmp(1, "x", "==", 1))
+	sets := map[string]int{"x": 1, "y": 2}
+	for i := 0; i < 1024; i++ { // grow the record and queue past their early doublings
+		m.Internal(0, sets)
+		m.Internal(2, sets)
+	}
+	if got := testing.AllocsPerRun(1000, func() { m.Internal(2, sets) }); got != 0 {
+		t.Errorf("event on an unwatched process: %v allocs, want 0", got)
+	}
+	if got := testing.AllocsPerRun(1000, func() { m.Internal(0, sets) }); got != 1 {
+		t.Errorf("event queuing an EF candidate: %v allocs, want 1 (its start clock)", got)
+	}
+	if w.Fired() {
+		t.Fatal("watch fired; the guard measured the wrong path")
 	}
 }
 

@@ -31,7 +31,7 @@ func ParseConj(src string) ([]LocalSpec, error) {
 		if !ok {
 			return nil, fmt.Errorf("watch %q: only variable comparisons are supported online", src)
 		}
-		out = append(out, Cmp(vc.Proc, vc.Var, string(vc.Op), vc.K))
+		out = append(out, specOf(vc))
 	}
 	return out, nil
 }

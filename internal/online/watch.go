@@ -6,6 +6,7 @@ import (
 	"repro/internal/computation"
 	"repro/internal/core"
 	"repro/internal/ctl"
+	"repro/internal/predicate"
 	"repro/internal/slice"
 )
 
@@ -17,30 +18,18 @@ type LocalSpec struct {
 	Holds func(vals map[string]int) bool
 }
 
-// Cmp builds the online counterpart of predicate.VarCmp.
+// Cmp builds the LocalSpec of the comparison "name@P(proc+1) op k".
 func Cmp(proc int, name, op string, k int) LocalSpec {
+	return specOf(predicate.VarCmp{Proc: proc, Var: name, Op: predicate.Op(op), K: k})
+}
+
+// specOf is the online counterpart of a predicate.VarCmp: same name, and
+// the same operator semantics (predicate.Op.Holds) on the live valuation.
+func specOf(vc predicate.VarCmp) LocalSpec {
 	return LocalSpec{
-		Proc: proc,
-		Name: fmt.Sprintf("%s@P%d %s %d", name, proc+1, op, k),
-		Holds: func(vals map[string]int) bool {
-			v := vals[name]
-			switch op {
-			case "<":
-				return v < k
-			case "<=":
-				return v <= k
-			case "==":
-				return v == k
-			case "!=":
-				return v != k
-			case ">=":
-				return v >= k
-			case ">":
-				return v > k
-			default:
-				panic("online: unknown operator " + op)
-			}
-		},
+		Proc:  vc.Proc,
+		Name:  vc.String(),
+		Holds: func(vals map[string]int) bool { return vc.Op.Holds(vals[vc.Var], vc.K) },
 	}
 }
 

@@ -77,6 +77,28 @@ const (
 	GT Op = ">"
 )
 
+// Holds reports whether "v op k" is true. It is the one place the
+// operator is interpreted on values: VarCmp (offline) and online.LocalSpec
+// (the monitors) both evaluate through it.
+func (op Op) Holds(v, k int) bool {
+	switch op {
+	case LT:
+		return v < k
+	case LE:
+		return v <= k
+	case EQ:
+		return v == k
+	case NE:
+		return v != k
+	case GE:
+		return v >= k
+	case GT:
+		return v > k
+	default:
+		panic(fmt.Sprintf("predicate: unknown operator %q", op))
+	}
+}
+
 // VarCmp is the workhorse local predicate "variable OP constant on process
 // Proc". An undefined variable reads as 0, matching the builder semantics.
 type VarCmp struct {
@@ -94,22 +116,7 @@ func (p VarCmp) Process() int { return p.Proc }
 // HoldsAt implements LocalPredicate.
 func (p VarCmp) HoldsAt(c *computation.Computation, k int) bool {
 	v, _ := c.Value(p.Proc, k, p.Var)
-	switch p.Op {
-	case LT:
-		return v < p.K
-	case LE:
-		return v <= p.K
-	case EQ:
-		return v == p.K
-	case NE:
-		return v != p.K
-	case GE:
-		return v >= p.K
-	case GT:
-		return v > p.K
-	default:
-		panic(fmt.Sprintf("predicate: unknown operator %q", p.Op))
-	}
+	return p.Op.Holds(v, p.K)
 }
 
 // Eval implements Predicate.

@@ -53,11 +53,31 @@ func FuzzDecodeClientFrame(f *testing.F) {
 	f.Add([]byte(`{"type":"hello","processes":2,"resumable":true,"durability":"DURABLE"}`))
 	f.Add([]byte(`{"type":"hello","processes":2,"resumable":true,"durability":"paxos"}`))
 	f.Add([]byte(`{"type":"hello","processes":2,"durability":" "}`))
+	// Ids that alias a small one if narrowed to a batch row's int32
+	// columns unchecked: 2³²+1 → 1, -2³²+1 → 1, 2³¹ → -2³¹.
+	f.Add([]byte(`{"type":"event","proc":4294967297}`))
+	f.Add([]byte(`{"type":"init","proc":-4294967295,"var":"x","value":1}`))
+	f.Add([]byte(`{"type":"event","proc":1,"kind":"send","msg":4294967297}`))
+	f.Add([]byte(`{"type":"event","proc":2,"kind":"receive","msg":2147483648}`))
 
 	f.Fuzz(func(t *testing.T, line []byte) {
 		fr, err := DecodeClientFrame(line)
 		if err != nil {
 			return
+		}
+		if fr.Type == FrameInit || fr.Type == FrameEvent {
+			// The one-row rewrite either refuses the frame or carries its
+			// ids exactly.
+			s := &Session{n: MaxProcesses}
+			if s.fillRow(&fr) == "" {
+				msg := fr.Msg
+				if fr.Kind != "send" && fr.Kind != "receive" {
+					msg = 0 // ignored on the other kinds, as it always was
+				}
+				if int(s.row.Procs[0]) != fr.Proc || s.row.Msg(0) != msg || s.row.Validate() != nil {
+					t.Fatalf("row (proc %d, msg %d) for frame (proc %d, msg %d)", s.row.Procs[0], s.row.Msg(0), fr.Proc, fr.Msg)
+				}
+			}
 		}
 		if fr.Type == FrameHello {
 			if ValidateHello(fr) == nil {
@@ -138,6 +158,10 @@ func FuzzFirstFrame(f *testing.F) {
 	f.Add([]byte(`{"type":"repl-reject","session":"k","code":"stale-epoch","epoch":3}`))
 	f.Add([]byte(`{"type":"hello","processes":2,"resumable":true,"durability":"durable"}`))
 	f.Add([]byte(`{"type":"hello","processes":2,"resumable":true,"durability":"quorum"}`))
+	// Out-of-int32 ids as an opener (no session yet: must be refused as a
+	// non-handshake frame, never reach a batch row).
+	f.Add([]byte(`{"type":"event","proc":4294967297}`))
+	f.Add([]byte(`{"type":"event","proc":1,"kind":"send","msg":-4294967295}`))
 	addr := fuzzServer(f)
 
 	f.Fuzz(func(t *testing.T, line []byte) {

@@ -106,9 +106,9 @@ func newMetrics(reg *obs.Registry) *metrics {
 		duplicates: reg.Counter("hb_server_events_duplicate_total",
 			"Sequenced frames idempotently dropped as duplicates (at-least-once redelivery)."),
 		journaled: reg.Counter("hb_server_events_journaled_total",
-			"Event frames recorded in session journals (must reconcile with hb_server_events_total)."),
+			"Events applied from sequenced frames of resumable sessions (must reconcile with hb_server_events_total)."),
 		batches: reg.Counter("hb_server_batches_total",
-			"Batch frames applied (each carries many events under one seq)."),
+			"Wire batch frames handed to the apply loop (each carries many events under one seq)."),
 		resumesOK: reg.Counter(`hb_server_resumes_total{result="ok"}`,
 			"Resume handshakes by outcome."),
 		resumesRej: reg.Counter(`hb_server_resumes_total{result="rejected"}`,

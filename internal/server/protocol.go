@@ -70,7 +70,7 @@ const (
 	CodeNotResumable   = "not-resumable"   // session was not opened with resumable:true
 	CodeBusy           = "busy"            // another transport is still attached; retry after backoff
 	CodeBadSeq         = "bad-seq"         // resume seq is negative or ahead of anything the server accepted
-	CodeStaleSeq       = "stale-seq"       // resume point has fallen out of the journal retention window
+	CodeStaleSeq       = "stale-seq"       // resume point is further behind the accepted seq than the retention window allows
 	CodeSeqGap         = "seq-gap"         // frames were lost in flight; reconnect and resume from the last ack
 	CodeNotOwner       = "not-owner"       // cluster mode: this node does not host the key; dial Owner instead
 	CodeStaleEpoch     = "stale-epoch"     // cluster mode: a newer incarnation of the session lives at Owner; this node's copy is fenced
@@ -115,8 +115,8 @@ type ClientFrame struct {
 	Processes int     `json:"processes,omitempty"`
 	Watches   []Watch `json:"watches,omitempty"`
 	// Resumable opts the session into fault tolerance: init/event frames
-	// carry client-assigned sequence numbers, accepted frames are
-	// journaled, the server acks periodically, and a dropped connection
+	// carry client-assigned sequence numbers, the server triages them
+	// (dup/gap) and acks periodically, and a dropped connection
 	// detaches the transport instead of closing the session, so the
 	// client can reattach with a resume frame.
 	Resumable bool `json:"resumable,omitempty"`

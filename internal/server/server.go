@@ -72,9 +72,10 @@ type Config struct {
 	// reason "read_timeout" in hb_server_conn_closes_total; resumable
 	// sessions survive the close and wait for a resume.
 	ReadTimeout time.Duration
-	// RetentionWindow is how many accepted sequenced frames a resumable
-	// session journals (default 4096). A resume whose last-acked seq has
-	// fallen more than this far behind is rejected as stale.
+	// RetentionWindow is the resume staleness bound (default 4096): a
+	// resume whose last-acked seq is more than this many accepted frames
+	// behind is rejected as stale, which caps what a returning client may
+	// replay into the session. Nothing is stored per frame.
 	RetentionWindow int
 	// AckEvery is how many applied sequenced frames pass between ack
 	// frames on resumable sessions (default 32). Clients bound their
@@ -280,10 +281,7 @@ func (s *Server) Open(cfg SessionConfig) (*Session, error) {
 		delete(sh.tombstones, id)
 	}
 	sess := newSession(s, id, cfg.Processes, ws, cfg.Bounded)
-	if cfg.Resumable {
-		sess.resumable = true
-		sess.journal = make([]journalEntry, 0, min(s.cfg.RetentionWindow, 256))
-	}
+	sess.resumable = cfg.Resumable
 	sh.sessions[id] = sess
 	sh.mu.Unlock()
 
@@ -297,10 +295,10 @@ func (s *Server) Open(cfg SessionConfig) (*Session, error) {
 
 // OpenRecovered rebuilds a resumable session from a replicated frame log:
 // it opens the session under its original id and replays every sequenced
-// frame through the normal ingest path, so the rebuilt monitor, journal,
-// verdict record, and Idx numbering are bit-identical to what the failed
-// home node held — detection is deterministic, so same frames in, same
-// verdicts out. The hello frame supplies the session config; frames must
+// frame through the normal ingest path, so the rebuilt monitor, seq
+// marks, verdict record, and Idx numbering are bit-identical to what the
+// failed home node held — detection is deterministic, so same frames in,
+// same verdicts out. The hello frame supplies the session config; frames must
 // be the accepted sequenced frames from seq 1 in order. If the log ends
 // in a bye the session runs to completion and (nil, nil) is returned: the
 // terminal state is then in the morgue for replay. Otherwise the returned

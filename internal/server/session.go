@@ -31,7 +31,7 @@ type SessionConfig struct {
 	ID        string
 	Processes int
 	Watches   []Watch
-	// Resumable sessions journal accepted sequenced frames, ack them,
+	// Resumable sessions triage sequenced frames (dup/gap), ack them,
 	// and survive transport loss: a dropped connection detaches instead
 	// of closing, and a resume frame reattaches. Resumable sessions
 	// always apply backpressure — the drop overflow policy would break
@@ -109,13 +109,6 @@ func newAttachment() *attachment {
 // close marks the transport gone. Safe to call multiple times.
 func (a *attachment) close() { a.doneOnce.Do(func() { close(a.done) }) }
 
-// journalEntry is one accepted sequenced frame in the session journal.
-type journalEntry struct {
-	Seq  int64
-	Type string
-	Proc int
-}
-
 // seqVerdict is the transport-side triage of a sequenced frame.
 type seqVerdict int
 
@@ -145,11 +138,10 @@ type Session struct {
 	curSpan    *obs.Span      // the frame span being applied (verdict spans parent here)
 	registered bool           // watches registered (deferred until the first event)
 	msgIDs     map[int]int    // wire msg id → monitor msg id
+	row        pir.Batch      // the one-row batch a single init/event frame applies as (reused)
 	scratch    map[string]int // reused per batched event (the monitor copies sets)
 	seen       int            // events applied
 	retained   int64          // last Retained() published to the gauge
-	journal    []journalEntry
-	jnext      int // ring cursor once the journal reaches the retention window
 
 	mu      sync.Mutex
 	att     *attachment   // attached transport (TCP writer), nil for HTTP/detached sessions
@@ -164,7 +156,7 @@ type Session struct {
 	enqSeq    atomic.Int64 // high-water sequenced frame accepted by the transport
 	ackSeq    atomic.Int64 // high-water sequenced frame applied by the loop
 	dupes     atomic.Int64 // duplicate sequenced frames idempotently dropped
-	journaled atomic.Int64 // event frames journaled (reconciles with events)
+	journaled atomic.Int64 // events applied from sequenced frames (reconciles with events)
 
 	events     atomic.Int64
 	dropped    atomic.Int64
@@ -221,9 +213,10 @@ func (s *Session) AckedSeq() int64 { return s.ackSeq.Load() }
 // Duplicates returns the sequenced frames idempotently dropped.
 func (s *Session) Duplicates() int64 { return s.dupes.Load() }
 
-// Journaled returns the event frames recorded in the session journal —
-// by construction equal to Events on a resumable session, and asserted
-// so by the chaos suite (accepted == journaled == detected).
+// Journaled returns the events applied from sequenced frames — counted
+// where the seq is consumed, so on a resumable session it must equal
+// Events, and the chaos suite asserts it (accepted == journaled ==
+// detected).
 func (s *Session) Journaled() int64 { return s.journaled.Load() }
 
 // AvgIngest returns the mean enqueue-to-applied latency of this
@@ -582,15 +575,18 @@ func (s *Session) handle(f inFrame) {
 		}
 	}()
 	switch f.f.Type {
-	case FrameInit:
-		s.handleInit(f)
-		s.noteSeq(f.f, 0)
-	case FrameEvent:
-		before := s.seen
-		s.handleEvent(f)
-		s.noteSeq(f.f, int64(s.seen-before))
+	case FrameInit, FrameEvent:
+		var applied int64
+		if why := s.fillRow(&f.f); why != "" {
+			s.reject(f, why)
+		} else {
+			f.f.Batch = &s.row
+			applied = s.handleBatch(f)
+		}
+		s.noteSeq(f.f.Seq, applied)
 	case FrameBatch:
-		s.noteSeq(f.f, s.handleBatch(f))
+		s.srv.met.batches.Inc()
+		s.noteSeq(f.f.Seq, s.handleBatch(f))
 		f.f.Batch.Recycle() // no-op unless the batch came from the binary decode pool
 	case FrameSnapshot:
 		s.handleSnapshot(f)
@@ -607,44 +603,37 @@ func (s *Session) handle(f inFrame) {
 
 // noteSeq finishes the monitor loop's side of a sequenced frame: the
 // applied high-water mark advances (a semantically rejected frame still
-// consumes its seq — redelivering it must not re-error), the frame is
-// journaled, and every AckEvery applied frames an ack is pushed so the
-// client can release its in-flight copies. The transport guarantees
-// in-order, gap-free, duplicate-free delivery into the queue, so the
-// loop sees each seq exactly once in order; the guard is defensive.
-// applied is the number of events the frame applied to the monitor — 0
-// or 1 for single frames, up to the batch length for a batch — keeping
-// the journaled == events reconciliation exact under batching.
-func (s *Session) noteSeq(f ClientFrame, applied int64) {
-	if !s.resumable || f.Seq == 0 {
+// consumes its seq — redelivering it must not re-error), and every
+// AckEvery applied frames an ack is pushed so the client can release its
+// in-flight copies. The transport guarantees in-order, gap-free,
+// duplicate-free delivery into the queue, so the loop sees each seq
+// exactly once in order; the guard is defensive. applied is the number
+// of events the frame applied to the monitor — 0 or 1 for single frames,
+// up to the batch length for a batch — keeping the journaled == events
+// reconciliation exact under batching.
+func (s *Session) noteSeq(seq, applied int64) {
+	if !s.resumable || seq == 0 {
 		return
 	}
-	if f.Seq <= s.ackSeq.Load() {
+	if seq <= s.ackSeq.Load() {
 		s.dupes.Add(1)
 		s.srv.met.duplicates.Inc()
 		return
 	}
-	s.ackSeq.Store(f.Seq)
-	entry := journalEntry{Seq: f.Seq, Type: f.Type, Proc: f.Proc}
-	if len(s.journal) < s.srv.cfg.RetentionWindow {
-		s.journal = append(s.journal, entry)
-	} else {
-		s.journal[s.jnext] = entry
-		s.jnext = (s.jnext + 1) % len(s.journal)
-	}
+	s.ackSeq.Store(seq)
 	if applied > 0 {
 		s.journaled.Add(applied)
 		s.srv.met.journaled.Add(applied)
 	}
-	if f.Seq%int64(s.srv.cfg.AckEvery) == 0 {
-		ack := f.Seq
+	if seq%int64(s.srv.cfg.AckEvery) == 0 {
+		ack := seq
 		if h := s.srv.cfg.Cluster; h != nil && h.AckGate != nil {
 			// An ack releases the client's in-flight copy, so in cluster
 			// mode it must not outrun replication durability: the gate
 			// returns the highest seq safe to acknowledge right now. The
 			// withheld tail is re-offered by Session.Ack when the gate
 			// advances.
-			ack = h.AckGate(s.id, f.Seq)
+			ack = h.AckGate(s.id, seq)
 		}
 		if ack > 0 {
 			s.emit(ServerFrame{Type: FrameAck, Session: s.id, Seq: ack, Event: s.seen}, false)
@@ -676,29 +665,6 @@ func (s *Session) reject(f inFrame, msg string) {
 		return
 	}
 	s.emit(fr, true)
-}
-
-func (s *Session) handleInit(f inFrame) {
-	proc := f.f.Proc - 1
-	if proc < 0 || proc >= s.n {
-		s.reject(f, fmt.Sprintf("init for process %d outside [1,%d]", f.f.Proc, s.n))
-		return
-	}
-	if f.f.Var == "" {
-		s.reject(f, "init frame without var")
-		return
-	}
-	if s.mon.EventsOn(proc) > 0 {
-		s.reject(f, fmt.Sprintf("init for process %d after its events", f.f.Proc))
-		return
-	}
-	if s.registered {
-		// Watches already evaluated initial states; a later init would
-		// make verdicts depend on ingest interleaving.
-		s.reject(f, "init after watches started evaluating (send inits first)")
-		return
-	}
-	s.mon.SetInitial(proc, f.f.Var, f.f.Value)
 }
 
 // ensureWatches registers the watches on the monitor. Deferred until the
@@ -734,55 +700,57 @@ func (s *Session) ensureWatches() {
 	s.checkWatches()
 }
 
-func (s *Session) handleEvent(f inFrame) {
-	s.ensureWatches()
-	proc := f.f.Proc - 1
-	if proc < 0 || proc >= s.n {
-		s.reject(f, fmt.Sprintf("event for process %d outside [1,%d]", f.f.Proc, s.n))
-		return
-	}
-	switch f.f.Kind {
-	case "", "internal":
-		s.mon.Internal(proc, f.f.Sets)
-	case "send":
-		if _, dup := s.msgIDs[f.f.Msg]; dup {
-			s.reject(f, fmt.Sprintf("message %d sent twice", f.f.Msg))
-			return
+// Rejection texts shared by fillRow and handleBatch, so a condition
+// reads the same whichever encoding carried the event.
+const (
+	errProcRange  = "process %d outside [1,%d]"
+	errUnknownMsg = "receive of unknown message %d (dropped or unsent)"
+)
+
+// fillRow rewrites a single init/event frame into the session's reused
+// one-row batch, so both encodings apply through handleBatch. It returns
+// the rejection text for what a batch row cannot carry — an unknown
+// event kind, or a proc or msg that would alias another id when narrowed
+// to the int32 columns — and "" once the row is filled.
+func (s *Session) fillRow(f *ClientFrame) string {
+	kind, msg := pir.EvInit, 0
+	if f.Type == FrameEvent {
+		switch f.Kind {
+		case "", "internal":
+			kind = pir.EvInternal
+		case "send":
+			kind, msg = pir.EvSend, f.Msg
+		case "receive":
+			kind, msg = pir.EvReceive, f.Msg
+		default:
+			return fmt.Sprintf("unknown event kind %q", f.Kind)
 		}
-		s.msgIDs[f.f.Msg] = s.mon.Send(proc, f.f.Sets)
-	case "receive":
-		id, ok := s.msgIDs[f.f.Msg]
-		if !ok {
-			s.reject(f, fmt.Sprintf("receive of unknown message %d (dropped or unsent)", f.f.Msg))
-			return
-		}
-		if err := s.mon.Receive(proc, id, f.f.Sets); err != nil {
-			s.reject(f, err.Error())
-			return
-		}
-	default:
-		s.reject(f, fmt.Sprintf("unknown event kind %q", f.f.Kind))
-		return
 	}
-	s.seen++
-	s.events.Add(1)
-	s.srv.met.events.Inc()
-	if d := s.srv.cfg.IngestDelay; d > 0 {
-		time.Sleep(d)
+	if f.Proc != int(int32(f.Proc)) {
+		return fmt.Sprintf(errProcRange, f.Proc, s.n)
 	}
-	s.checkWatches()
-	lat := time.Since(f.enq)
-	s.latNanos.Add(lat.Nanoseconds())
-	s.srv.met.ingestDur.Observe(lat.Seconds())
+	if msg != int(int32(msg)) {
+		if kind == pir.EvReceive {
+			return fmt.Sprintf(errUnknownMsg, msg) // no such send was ever accepted
+		}
+		return fmt.Sprintf("message id %d outside the int32 range", msg)
+	}
+	s.row.Reset()
+	if kind == pir.EvInit {
+		s.row.AddInit(f.Proc, f.Var, f.Value)
+	} else {
+		s.row.AddEvent(f.Proc, kind, msg, f.Sets)
+	}
+	return ""
 }
 
-// handleBatch applies a batch frame: each batched init/event in order,
-// with exactly the semantics the equivalent single frames would have
-// had — per-event semantic errors are rejected individually and the
-// rest of the batch continues, and every applied event checks the
-// watches, so verdict determining prefixes are bit-identical to the
-// unbatched stream. Returns the number of events applied (inits and
-// rejected events do not count, matching the single-frame path).
+// handleBatch is the one place events reach the monitor. It applies the
+// rows of a batch — a wire batch frame, or the one-row batch fillRow made
+// of a single frame — in order: per-row semantic errors are rejected
+// individually and the rest of the batch continues, and every applied
+// event checks the watches, so verdict determining prefixes do not depend
+// on how the stream was split into frames. Returns the number of events
+// applied (inits and rejected rows do not count).
 func (s *Session) handleBatch(f inFrame) int64 {
 	b := f.f.Batch
 	if b == nil {
@@ -801,7 +769,7 @@ func (s *Session) handleBatch(f inFrame) int64 {
 		proc := int(b.Procs[i]) - 1
 		kind := b.Kinds[i]
 		if proc < 0 || proc >= s.n {
-			s.reject(f, fmt.Sprintf("batched event %d for process %d outside [1,%d]", i, b.Procs[i], s.n))
+			s.reject(f, fmt.Sprintf(errProcRange, b.Procs[i], s.n))
 			continue
 		}
 		lo, hi := b.SetOff[i], b.SetOff[i+1]
@@ -809,9 +777,9 @@ func (s *Session) handleBatch(f inFrame) int64 {
 			vs := b.Sets[lo]
 			switch {
 			case vs.Name == "":
-				s.reject(f, fmt.Sprintf("batched init %d without var", i))
+				s.reject(f, "init without var")
 			case s.mon.EventsOn(proc) > 0:
-				s.reject(f, fmt.Sprintf("batched init for process %d after its events", b.Procs[i]))
+				s.reject(f, fmt.Sprintf("init for process %d after its events", b.Procs[i]))
 			case s.registered:
 				s.reject(f, "init after watches started evaluating (send inits first)")
 			default:
@@ -833,7 +801,7 @@ func (s *Session) handleBatch(f inFrame) int64 {
 		case pir.EvReceive:
 			id, ok := s.msgIDs[b.Msg(i)]
 			if !ok {
-				s.reject(f, fmt.Sprintf("receive of unknown message %d (dropped or unsent)", b.Msg(i)))
+				s.reject(f, fmt.Sprintf(errUnknownMsg, b.Msg(i)))
 				continue
 			}
 			if err := s.mon.Receive(proc, id, sets); err != nil {
@@ -850,10 +818,11 @@ func (s *Session) handleBatch(f inFrame) int64 {
 		}
 		s.checkWatches()
 	}
-	s.srv.met.batches.Inc()
-	lat := time.Since(f.enq)
-	s.latNanos.Add(lat.Nanoseconds())
-	s.srv.met.ingestDur.Observe(lat.Seconds())
+	if applied > 0 {
+		lat := time.Since(f.enq)
+		s.latNanos.Add(lat.Nanoseconds())
+		s.srv.met.ingestDur.Observe(lat.Seconds())
+	}
 	return applied
 }
 

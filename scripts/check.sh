@@ -1,6 +1,8 @@
 #!/bin/sh
 # check.sh — the repository's verification gate: formatting, vet, build,
-# and the full test suite under the race detector. Run from anywhere.
+# the full test suite under the race detector, and the nested bench/
+# module (its own go.mod, so `./...` from the root never reaches it and a
+# product change could break the benchmark unseen). Run from anywhere.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -20,5 +22,8 @@ go build ./...
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== bench module: go vet, go test =="
+(cd bench && go vet ./... && go test ./...)
 
 echo "ok"
