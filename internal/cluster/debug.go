@@ -55,7 +55,7 @@ func (n *Node) DebugState() any {
 			Key:        key,
 			Epoch:      hs.epoch,
 			Durability: hs.mode.String(),
-			Frames:     len(hs.frames),
+			Frames:     len(hs.log),
 			Durable:    hs.durable,
 			Replicas:   append([]string(nil), hs.replicas...),
 			Degraded:   hs.degraded,
@@ -70,7 +70,7 @@ func (n *Node) DebugState() any {
 		d.Hosted = append(d.Hosted, ds)
 	}
 	for key, rl := range n.replicated {
-		d.Replicas = append(d.Replicas, DebugReplica{Key: key, Epoch: rl.epoch, Frames: len(rl.frames), Feeder: rl.from})
+		d.Replicas = append(d.Replicas, DebugReplica{Key: key, Epoch: rl.epoch, Frames: len(rl.log), Feeder: rl.from})
 	}
 	for peer, l := range n.links {
 		d.Links = append(d.Links, DebugLink{Peer: peer, Connected: l.connected})

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/server"
 	"repro/internal/server/client"
 )
@@ -23,11 +24,11 @@ type wireMsg struct {
 	Epoch   int64           `json:"epoch,omitempty"`
 	Code    string          `json:"code,omitempty"`
 	Hello   json.RawMessage `json:"hello,omitempty"`
-	Frame   json.RawMessage `json:"frame,omitempty"`
 }
 
-// replDialog wraps a raw connection speaking the NDJSON replication
-// protocol: send writes one line, recv decodes the next reply.
+// replDialog wraps a raw connection speaking the replication protocol:
+// send writes one NDJSON control line, recv decodes the next reply; data
+// frames are written to conn directly.
 type replDialog struct {
 	t    *testing.T
 	conn net.Conn
@@ -82,7 +83,10 @@ func TestReplEpochFencingWire(t *testing.T) {
 		d.send(fmt.Sprintf(`{"type":"repl-open","session":%q,"epoch":%d,"hello":{"type":"hello","processes":3,"resumable":true,"session":%q}}`, key, epoch, key))
 	}
 	frame := func(epoch, seq int64) {
-		d.send(fmt.Sprintf(`{"type":"repl-frame","session":%q,"epoch":%d,"frame":{"type":"init","proc":1,"var":"x","value":1,"seq":%d}}`, key, epoch, seq))
+		entry := cluster.Entry(server.ClientFrame{Type: server.FrameInit, Proc: 1, Var: "x", Value: 1, Seq: seq})
+		if _, err := d.conn.Write(cluster.DataFrame(key, epoch, seq, entry)); err != nil {
+			t.Fatalf("write data frame: %v", err)
+		}
 	}
 
 	open(5)

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"context"
 	"net"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -53,18 +54,26 @@ func fuzzCluster(f *testing.F) string {
 // hostile or buggy peer that authenticated as a cluster member. Seeds
 // cover the epoch-fencing edges: negative and overflowing epochs,
 // stale-epoch floods, handoff offers for unknown sessions and handoff
-// replays, frames before their open, and malformed JSON. The property
-// is the node never panics and never wedges: every iteration's
-// handshake must succeed, whatever the previous one sent.
+// replays, frames before their open, malformed JSON, and the binary data
+// frames in every hostile shape (truncated header, unknown session, stale
+// epoch, seq gap, oversize length, garbage payload, ids the batch decoder
+// must refuse). The property is the node never panics and never wedges —
+// every iteration's handshake must succeed, whatever the previous one
+// sent — and that nothing undecodable ever reaches a replica log: an ack
+// covers only entries a promotion could replay.
 func FuzzReplProtocol(f *testing.F) {
 	open := func(key string, epoch string) string {
 		return `{"type":"repl-open","session":"` + key + `","epoch":` + epoch +
 			`,"hello":{"type":"hello","processes":3,"resumable":true,"session":"` + key + `"}}` + "\n"
 	}
 	frame := func(key, epoch, seq string) string {
-		return `{"type":"repl-frame","session":"` + key + `","epoch":` + epoch +
-			`,"frame":{"type":"init","proc":1,"var":"x","value":1,"seq":` + seq + `}}` + "\n"
+		e, _ := strconv.ParseInt(epoch, 10, 64)
+		q, _ := strconv.ParseInt(seq, 10, 64)
+		entry := cluster.Entry(server.ClientFrame{Type: server.FrameInit, Proc: 1, Var: "x", Value: 1, Seq: q})
+		return string(cluster.DataFrame(key, e, q, entry))
 	}
+	// batchEntry is a batch log entry with a hand-written body after the seq.
+	batchEntry := func(seq byte, body ...byte) []byte { return append([]byte{0x00, seq}, body...) }
 	f.Add([]byte(open("k", "-1")))
 	f.Add([]byte(open("k", "-9223372036854775808")))
 	f.Add([]byte(open("k", "9223372036854775807") + frame("k", "9223372036854775807", "1")))
@@ -78,6 +87,19 @@ func FuzzReplProtocol(f *testing.F) {
 	f.Add([]byte(`{"type":"repl-ack","session":"k","seq":1}` + "\n"))
 	f.Add([]byte(`{"type":"repl-open","session":"","epoch":1}` + "\n"))
 	f.Add([]byte(open("k", "1") + frame("k", "1", "-1") + frame("k", "1", "9223372036854775807")))
+	good := frame("k", "3", "1")
+	f.Add([]byte(open("k", "3") + good[:len(good)/2]))                                                           // truncated mid-frame
+	f.Add([]byte(open("k", "3") + good[:4]))                                                                     // truncated header
+	f.Add([]byte(open("k", "3") + frame("ghost", "3", "1")))                                                     // unknown session
+	f.Add([]byte(open("k", "3") + frame("k", "2", "1")))                                                         // stale epoch
+	f.Add([]byte(open("k", "3") + good + frame("k", "3", "5")))                                                  // seq gap
+	f.Add(append([]byte(open("k", "3")), server.FrameMagic, server.BinRepl, 0xff, 0xff, 0xff, 0x7f))             // oversize length
+	f.Add(append([]byte(open("k", "3")), cluster.DataFrame("k", 3, 1, []byte{0x00, 0x01, 0x01, 0xff, 0x01})...)) // garbage payload
+	f.Add(append([]byte(open("k", "3")), cluster.DataFrame("k", 3, 1, []byte{0x01, '{', '}'})...))               // control entry without a seq
+	// One event whose proc is 2³¹, and one whose msg is 2³²+1: ids that
+	// would wrap or alias if the batch decoder narrowed them unchecked.
+	f.Add(append([]byte(open("k", "3")), cluster.DataFrame("k", 3, 1, batchEntry(1, 0x01, 0x80, 0x80, 0x80, 0x80, 0x20, 0x00))...))
+	f.Add(append([]byte(open("k", "3")), cluster.DataFrame("k", 3, 1, batchEntry(1, 0x01, 0x05, 0x82, 0x80, 0x80, 0x80, 0x20, 0x00))...))
 	f.Add([]byte("not json\n"))
 	f.Add([]byte{0x00, 0xff, '\n'})
 	addr := fuzzCluster(f)
@@ -102,6 +124,9 @@ func FuzzReplProtocol(f *testing.F) {
 		// peer would see it.
 		conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
 		for sc.Scan() {
+		}
+		if err := fuzzNode.CheckReplicaLogs(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -127,7 +127,7 @@ func (n *Node) handoffSession(ctx context.Context, key string) error {
 
 	n.mu.Lock()
 	for n.hosted[key] == hs && hs.handoff == ho && ctx.Err() == nil &&
-		l.racked[key] < int64(len(hs.frames)) {
+		l.racked[key] < int64(len(hs.log)) {
 		n.cond.Wait()
 	}
 	if n.hosted[key] != hs || hs.handoff != ho {
@@ -146,7 +146,7 @@ func (n *Node) handoffSession(ctx context.Context, key string) error {
 		n.mu.Unlock()
 		return ctx.Err()
 	}
-	l.control = append(l.control, replMsg{Type: msgReplHandoff, Session: key, Epoch: epoch, Seq: int64(len(hs.frames))})
+	l.control = append(l.control, replMsg{Type: msgReplHandoff, Session: key, Epoch: epoch, Seq: int64(len(hs.log))})
 	n.cond.Broadcast()
 	n.mu.Unlock()
 
@@ -176,16 +176,9 @@ func (n *Node) completeHandoff(key, peer string, epoch int64) {
 	}
 	ho := hs.handoff
 	hs.handoff = nil
-	delete(n.hosted, key)
-	n.met.sessionsOwned.Set(int64(len(n.hosted)))
-	for _, l := range n.links {
-		delete(l.racked, key)
-		delete(l.sent, key)
-		delete(l.opened, key)
-	}
+	n.dropHostedLocked(hs)
 	n.met.handoffs.Inc()
 	n.observeEpochLocked(key, epoch)
-	n.updateLagLocked()
 	n.cond.Broadcast()
 	n.mu.Unlock()
 	n.srv.Supersede(key, peer, fmt.Sprintf("drained to %s (epoch %d)", peer, epoch))

@@ -47,15 +47,17 @@ type NodeConfig struct {
 
 // hostedSession is the replication state of one keyed session this node
 // hosts: the keyed hello plus every accepted sequenced frame from seq 1,
-// in order — frames[i] carries seq i+1. This is deliberately the full
-// frame log: a replica rebuilds the session by replaying it through the
-// same deterministic monitor pipeline, which is what makes post-failover
-// verdicts bit-identical. The log lives for the session's lifetime and
-// is released once every replica has acknowledged its bye.
+// in order — log[i] is the encoded entry (wire.go) of seq i+1. This is
+// deliberately the full frame log: a replica rebuilds the session by
+// replaying it through the same deterministic monitor pipeline, which is
+// what makes post-failover verdicts bit-identical. The log lives for the
+// session's lifetime and is released once every replica has acknowledged
+// its bye.
 type hostedSession struct {
 	key      string
 	hello    server.ClientFrame
-	frames   []server.ClientFrame
+	log      [][]byte
+	header   []byte     // data-frame header of this incarnation (key, epoch)
 	replicas []string   // ring successors holding copies (self excluded)
 	epoch    int64      // this incarnation's fencing epoch, minted at registration
 	mode     Durability // resolved ack-gate mode; travels in hello.Durability
@@ -69,9 +71,10 @@ type hostedSession struct {
 // replicaLog is a foreign session's replicated state on this node,
 // fenced by the incarnation epoch its feeder announced.
 type replicaLog struct {
-	hello  server.ClientFrame
-	frames []server.ClientFrame
-	epoch  int64
+	key   string
+	hello server.ClientFrame
+	log   [][]byte // entries exactly as the owner encoded them
+	epoch int64
 	// feeder is the inbound connection currently feeding this log (nil
 	// once it drops) and from its announced ring identity. Only the
 	// feeder's frames append — any other connection's frames are acked
@@ -99,6 +102,8 @@ type Node struct {
 
 	stopc chan struct{}  // closed by Shutdown; unblocks link backoff sleeps
 	wg    sync.WaitGroup // link goroutines
+
+	encoders sync.Pool // *entryEncoder scratch; onAccept encodes outside mu
 
 	// mu guards everything below plus all peerLink state; cond is
 	// broadcast whenever new frames are appended, replica acks advance,
@@ -152,6 +157,7 @@ func New(srvCfg server.Config, nc NodeConfig) (*Node, error) {
 		promoting:  make(map[string]chan struct{}),
 		inbound:    make(map[net.Conn]struct{}),
 	}
+	n.encoders.New = func() any { return new(entryEncoder) }
 	n.cond = sync.NewCond(&n.mu)
 	n.met.ringNodes.Set(int64(len(ring.Nodes())))
 	srvCfg.Cluster = &server.ClusterHooks{
@@ -308,127 +314,153 @@ func (n *Node) onOpen(sess *server.Session, cfg server.SessionConfig) {
 		Processes:  cfg.Processes,
 		Watches:    cfg.Watches,
 		Resumable:  true,
+		Bounded:    cfg.Bounded,
 		Session:    cfg.ID,
 		Durability: mode.String(),
 	}
 	n.mu.Lock()
 	epoch := n.mintEpochLocked(cfg.ID, 0)
 	n.mu.Unlock()
-	n.registerHosted(cfg.ID, hello, nil, epoch, mode)
+	n.registerHosted(&hostedSession{key: cfg.ID, hello: hello, epoch: epoch, mode: mode})
 }
 
 // registerHosted installs (or replaces) the hosted replication state for
-// key — a new incarnation under epoch — and ensures links to its
-// replicas exist. Any replica log or stale per-link cursors left by a
-// previous incarnation of the key are cleared: a reused key must start
-// from a clean slate, or an old racked watermark could open the ack gate
-// for frames the replicas never saw.
-func (n *Node) registerHosted(key string, hello server.ClientFrame, backlog []server.ClientFrame, epoch int64, mode Durability) {
-	replicas := make([]string, 0, n.r)
-	for _, s := range n.ring.Successors(key, n.r) {
+// hs.key — a new incarnation under hs.epoch; the caller fills key, hello,
+// log, bye, epoch and mode — and ensures links to its replicas exist. Any
+// replica log or stale per-link cursors left by a previous incarnation of
+// the key are cleared: a reused key must start from a clean slate, or an
+// old racked watermark could open the ack gate for frames the replicas
+// never saw.
+func (n *Node) registerHosted(hs *hostedSession) {
+	for _, s := range n.ring.Successors(hs.key, n.r) {
 		if s != n.self {
-			replicas = append(replicas, s)
+			hs.replicas = append(hs.replicas, s)
 		}
 	}
-	hs := &hostedSession{key: key, hello: hello, frames: backlog, replicas: replicas, epoch: epoch, mode: mode}
-	if len(backlog) > 0 && backlog[len(backlog)-1].Type == server.FrameBye {
-		hs.bye = true
-	}
+	hs.header = appendFrameHeader(nil, hs.key, hs.epoch)
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
 		return
 	}
-	n.observeEpochLocked(key, epoch)
-	n.hosted[key] = hs
+	n.observeEpochLocked(hs.key, hs.epoch)
+	if old := n.hosted[hs.key]; old != nil {
+		n.dropHostedLocked(old)
+	}
+	n.forgetCursorsLocked(hs.key) // even with no old state: a late ack may have planted one
+	n.hosted[hs.key] = hs
 	n.met.sessionsOwned.Set(int64(len(n.hosted)))
-	if _, held := n.replicated[key]; held {
-		delete(n.replicated, key)
+	n.met.replLag.Add(int64(len(hs.log)))
+	if _, held := n.replicated[hs.key]; held {
+		delete(n.replicated, hs.key)
 		n.met.sessionsReplicated.Set(int64(len(n.replicated)))
 	}
+	for _, peer := range hs.replicas {
+		n.ensureLinkLocked(peer)
+	}
+	n.refreshDegradedLocked(hs)
+	n.cond.Broadcast()
+	n.mu.Unlock()
+	n.log("cluster: hosting %s epoch %d (%s, replicas %v, backlog %d)", hs.key, hs.epoch, hs.mode, hs.replicas, len(hs.log))
+}
+
+// dropHostedLocked removes hs from the hosted set together with every
+// link's cursors for its key, and takes its share out of the lag and
+// degraded gauges. Caller holds n.mu.
+func (n *Node) dropHostedLocked(hs *hostedSession) {
+	delete(n.hosted, hs.key)
+	n.met.sessionsOwned.Set(int64(len(n.hosted)))
+	n.met.replLag.Add(hs.durable - int64(len(hs.log)))
+	if hs.degraded {
+		n.met.degradedSessions.Add(-1)
+	}
+	n.forgetCursorsLocked(hs.key)
+}
+
+// forgetCursorsLocked clears every link's send and ack cursors for key.
+// Caller holds n.mu.
+func (n *Node) forgetCursorsLocked(key string) {
 	for _, l := range n.links {
 		delete(l.racked, key)
 		delete(l.sent, key)
 		delete(l.opened, key)
 	}
-	for _, peer := range replicas {
-		n.ensureLinkLocked(peer)
-	}
-	n.updateLagLocked()
-	n.cond.Broadcast()
-	n.mu.Unlock()
-	n.log("cluster: hosting %s epoch %d (%s, replicas %v, backlog %d)", key, epoch, mode, replicas, len(backlog))
 }
 
-// onAccept appends one accepted sequenced frame to the session's log and
-// wakes the links. Frames arrive in seq order from the single attached
-// transport; a frame re-accepted after a promotion race is deduped by
-// seq.
+// onAccept encodes one accepted sequenced frame, appends the entry to the
+// session's log and wakes the links. Frames arrive in seq order from the
+// single attached transport; a frame re-accepted after a promotion race
+// is deduped by seq. The encoding happens outside n.mu.
 func (n *Node) onAccept(sess *server.Session, f server.ClientFrame) {
+	key := sess.ID()
 	n.mu.Lock()
-	hs := n.hosted[sess.ID()]
-	if hs == nil || f.Seq <= int64(len(hs.frames)) {
-		n.mu.Unlock()
-		return // unkeyed session, or a duplicate past the log's high water
+	hs := n.hosted[key]
+	n.mu.Unlock()
+	if hs == nil {
+		return // unkeyed session
 	}
-	if f.Batch != nil {
-		// Binary-decoded batches are pooled and recycled once the session
-		// applies them; the replication log outlives that, so keep a
-		// private copy.
-		f.Batch = f.Batch.Clone()
+	enc := n.encoders.Get().(*entryEncoder)
+	entry := enc.encode(f)
+	n.encoders.Put(enc)
+
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.hosted[key] != hs || f.Seq != int64(len(hs.log))+1 {
+		return // superseded meanwhile, or a duplicate past the log's high water
 	}
-	hs.frames = append(hs.frames, f)
+	hs.log = append(hs.log, entry)
 	if f.Type == server.FrameBye {
 		hs.bye = true
 	}
-	n.updateLagLocked()
+	// The lag gauge moves by delta — here, where the durability watermark
+	// advances, and when a session is dropped — never by walking hosted.
+	n.met.replLag.Add(1)
 	n.cond.Broadcast()
-	n.mu.Unlock()
 }
 
-// updateLagLocked refreshes the replication-lag gauge: accepted frames
-// not yet covered by the durability watermark, summed over hosted
-// sessions. Caller holds n.mu.
-func (n *Node) updateLagLocked() {
-	var lag int64
-	for _, hs := range n.hosted {
-		if d := int64(len(hs.frames)) - hs.durable; d > 0 {
-			lag += d
-		}
+// advanceDurableLocked raises hs's durability watermark to d, if that
+// is an advance. Caller holds n.mu.
+func (n *Node) advanceDurableLocked(hs *hostedSession, d int64) bool {
+	if d <= hs.durable {
+		return false
 	}
-	n.met.replLag.Set(lag)
-	n.updateDegradedLocked()
+	n.met.replLag.Add(hs.durable - d)
+	hs.durable = d
+	return true
 }
 
-// updateDegradedLocked recomputes which durable-mode sessions are
-// running degraded — a replica link down, so their client acks are
-// stalled at the outage watermark — and publishes the gauge. Caller
-// holds n.mu.
-func (n *Node) updateDegradedLocked() {
-	var degraded int64
-	for _, hs := range n.hosted {
-		was := hs.degraded
-		hs.degraded = false
-		if hs.mode == Durable {
-			for _, peer := range hs.replicas {
-				l := n.links[peer]
-				if l == nil || !l.connected {
-					hs.degraded = true
-					break
-				}
+// refreshDegradedLocked recomputes whether hs is running degraded — a
+// durable-mode session with a replica link down, so its client acks are
+// stalled at the outage watermark — and moves the gauge on a change.
+// Caller holds n.mu.
+func (n *Node) refreshDegradedLocked(hs *hostedSession) {
+	degraded := false
+	if hs.mode == Durable {
+		for _, peer := range hs.replicas {
+			if l := n.links[peer]; l == nil || !l.connected {
+				degraded = true
+				break
 			}
 		}
-		switch {
-		case hs.degraded && !was:
-			hs.stalled = time.Now()
-			degraded++
-		case hs.degraded:
-			degraded++
-		default:
-			hs.stalled = time.Time{}
-		}
 	}
-	n.met.degradedSessions.Set(degraded)
+	switch {
+	case degraded && !hs.degraded:
+		hs.stalled = time.Now()
+		n.met.degradedSessions.Add(1)
+	case !degraded && hs.degraded:
+		hs.stalled = time.Time{}
+		n.met.degradedSessions.Add(-1)
+	}
+	hs.degraded = degraded
+}
+
+// linkChangedLocked re-evaluates every hosted session after a link's
+// connectivity changed — the only event, besides registration, that can
+// change a session's degraded state. Caller holds n.mu.
+func (n *Node) linkChangedLocked() {
+	for _, hs := range n.hosted {
+		n.refreshDegradedLocked(hs)
+	}
 }
 
 // ackGate bounds the seq the server may ack to its client: the minimum
@@ -451,9 +483,7 @@ func (n *Node) ackGate(session string, seq int64) int64 {
 	if !gated || d > seq {
 		d = seq
 	}
-	if d > hs.durable {
-		hs.durable = d
-	}
+	n.advanceDurableLocked(hs, d)
 	return d
 }
 
@@ -499,30 +529,19 @@ func (n *Node) noteAcks(key string) {
 		return
 	}
 	d, gated := n.durableLocked(hs)
-	if !gated || d > int64(len(hs.frames)) {
-		d = int64(len(hs.frames))
+	if !gated || d > int64(len(hs.log)) {
+		d = int64(len(hs.log))
 	}
-	var advance int64
-	if d > hs.durable {
-		hs.durable = d
-		advance = d
-	}
-	if hs.bye && hs.durable == int64(len(hs.frames)) {
+	advanced := n.advanceDurableLocked(hs, d)
+	if hs.bye && hs.durable == int64(len(hs.log)) {
 		// Every replica holds the full log through the bye; the hosted
 		// state has done its job.
-		delete(n.hosted, hs.key)
-		n.met.sessionsOwned.Set(int64(len(n.hosted)))
-		for _, l := range n.links {
-			delete(l.racked, hs.key)
-			delete(l.sent, hs.key)
-			delete(l.opened, hs.key)
-		}
+		n.dropHostedLocked(hs)
 	}
-	n.updateLagLocked()
 	n.mu.Unlock()
-	if advance > 0 {
+	if advanced {
 		if sess := n.srv.Session(key); sess != nil {
-			sess.Ack(advance)
+			sess.Ack(d)
 		}
 	}
 }
@@ -541,17 +560,10 @@ func (n *Node) superseded(key string, epoch int64, from, reason string) {
 		n.mu.Unlock()
 		return
 	}
-	delete(n.hosted, key)
-	n.met.sessionsOwned.Set(int64(len(n.hosted)))
-	for _, l := range n.links {
-		delete(l.racked, key)
-		delete(l.sent, key)
-		delete(l.opened, key)
-	}
+	n.dropHostedLocked(hs)
 	n.met.supersedes.Inc()
 	ho := hs.handoff
 	hs.handoff = nil
-	n.updateLagLocked()
 	n.cond.Broadcast()
 	n.mu.Unlock()
 	if ho != nil {
@@ -621,7 +633,7 @@ func (n *Node) recoverSession(key string) (*server.Session, error) {
 	n.promoting[key] = done
 	epoch := n.mintEpochLocked(key, rl.epoch)
 	hello := rl.hello
-	frames := append([]server.ClientFrame(nil), rl.frames...)
+	log := append([][]byte(nil), rl.log...)
 	n.mu.Unlock()
 
 	defer func() {
@@ -631,16 +643,32 @@ func (n *Node) recoverSession(key string) (*server.Session, error) {
 		close(done)
 	}()
 
-	mode, _ := ParseDurability(hello.Durability)
-	n.log("cluster: promoting %s from replica log (%d frames, epoch %d → %d)", key, len(frames), rl.epoch, epoch)
-	sess, err := n.srv.OpenRecovered(hello, frames)
+	n.log("cluster: promoting %s from replica log (%d frames, epoch %d → %d)", key, len(log), rl.epoch, epoch)
+	sess, err := n.openFromLog(hello, log, epoch)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: promote %s: %v", key, err)
 	}
 	n.met.failovers.Inc()
-	// This node is the session's host now: replicate the whole backlog to
-	// the remaining successors under the new epoch (replicas fence their
-	// stale copies and re-ingest from seq 1).
-	n.registerHosted(key, hello, frames, epoch, mode)
+	return sess, nil
+}
+
+// openFromLog rebuilds a live session from a replication log — the entries
+// decode back into the frames they were encoded from and replay through
+// the ordinary ingest path — and makes this node its host under epoch:
+// the whole backlog replicates to the remaining successors (replicas
+// fence their stale copies and re-ingest from seq 1). The session is nil
+// when the log ends in a bye; the morgue then holds its terminal state.
+func (n *Node) openFromLog(hello server.ClientFrame, log [][]byte, epoch int64) (*server.Session, error) {
+	frames, err := decodeLog(log)
+	if err != nil {
+		return nil, err
+	}
+	sess, err := n.srv.OpenRecovered(hello, frames)
+	if err != nil {
+		return nil, err
+	}
+	mode, _ := ParseDurability(hello.Durability)
+	bye := len(frames) > 0 && frames[len(frames)-1].Type == server.FrameBye
+	n.registerHosted(&hostedSession{key: hello.Session, hello: hello, log: log, bye: bye, epoch: epoch, mode: mode})
 	return sess, nil
 }

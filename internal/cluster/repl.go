@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/backoff"
+	"repro/internal/pir"
 	"repro/internal/server"
 )
 
@@ -14,8 +15,8 @@ import (
 // is created lazily when a hosted session first needs the peer and then
 // lives until shutdown: a dedicated goroutine dials (with seeded
 // exponential backoff), performs the repl-hello handshake, and streams
-// repl-open/repl-frame messages for every hosted session placed on the
-// peer, while a reader goroutine collects repl-acks into the racked
+// repl-open messages and data frames for every hosted session placed on
+// the peer, while a reader goroutine collects repl-acks into the racked
 // watermark that gates client acks. On reconnect the send cursors reset
 // to the racked watermark — everything unacknowledged is re-sent, and
 // the replica dedupes by seq, so a dropped link never leaves a hole in a
@@ -38,6 +39,7 @@ type peerLink struct {
 	// and entries for sessions not yet opened on this connection are
 	// retained for a later batch.
 	control []replMsg
+	wbuf    []byte // the send loop's reused batch buffer
 }
 
 // linkSeed derives the deterministic jitter seed of one directed
@@ -204,7 +206,7 @@ func (l *peerLink) sendLoop(conn net.Conn) {
 	for k := range l.sent {
 		l.sent[k] = int(l.racked[k])
 	}
-	n.updateDegradedLocked()
+	n.linkChangedLocked()
 	n.cond.Broadcast() // connectivity change: the ack gate now binds on this link
 	for {
 		if n.closed || l.conn != conn {
@@ -228,7 +230,7 @@ func (l *peerLink) sendLoop(conn net.Conn) {
 		l.conn = nil
 	}
 	l.abortControlLocked()
-	n.updateDegradedLocked()
+	n.linkChangedLocked()
 	n.cond.Broadcast()
 	n.mu.Unlock()
 }
@@ -253,13 +255,17 @@ func (l *peerLink) abortControlLocked() {
 
 // collectLocked gathers the next batch of repl messages for this peer:
 // an open for every hosted session not yet announced on this connection,
-// then its unsent frames in seq order, bounded per batch so one busy
-// session cannot monopolize the wire buffer; finally any queued control
-// messages whose session is open on this connection. Caller holds n.mu.
+// then its unsent log entries in seq order as data frames — the entries
+// were encoded when they were accepted, so this only copies bytes —
+// bounded per batch so one busy session cannot monopolize the wire
+// buffer; finally any queued control messages whose session is open on
+// this connection. The batch lives in l.wbuf until the next call. Caller
+// holds n.mu.
 func (l *peerLink) collectLocked() []byte {
-	const maxBatch = 256
-	var batch []byte
+	const maxBatch, maxBatchBytes = 256, 1 << 20
+	batch := l.wbuf[:0]
 	msgs := 0
+	full := func() bool { return msgs >= maxBatch || len(batch) >= maxBatchBytes }
 	for key, hs := range l.node.hosted {
 		if !hs.replicatesTo(l.peer) {
 			continue
@@ -270,21 +276,23 @@ func (l *peerLink) collectLocked() []byte {
 			batch = append(batch, appendReplMsg(replMsg{Type: msgReplOpen, Session: key, Epoch: hs.epoch, Hello: &hello})...)
 			msgs++
 		}
-		for l.sent[key] < len(hs.frames) && msgs < maxBatch {
-			f := hs.frames[l.sent[key]]
-			l.sent[key]++
-			batch = append(batch, appendReplMsg(replMsg{Type: msgReplFrame, Session: key, Epoch: hs.epoch, Frame: &f})...)
-			l.node.met.framesSent.Inc()
-			msgs++
+		if sent := l.sent[key]; sent < len(hs.log) {
+			from := sent
+			for ; sent < len(hs.log) && !full(); sent++ {
+				batch = appendDataFrame(batch, hs.header, int64(sent+1), hs.log[sent])
+				msgs++
+			}
+			l.sent[key] = sent
+			l.node.met.framesSent.Add(int64(sent - from))
 		}
-		if msgs >= maxBatch {
+		if full() {
 			break
 		}
 	}
-	if msgs < maxBatch && len(l.control) > 0 {
+	if !full() && len(l.control) > 0 {
 		kept := l.control[:0]
 		for _, m := range l.control {
-			if !l.opened[m.Session] || msgs >= maxBatch {
+			if !l.opened[m.Session] || full() {
 				kept = append(kept, m)
 				continue
 			}
@@ -296,6 +304,7 @@ func (l *peerLink) collectLocked() []byte {
 			l.control = nil
 		}
 	}
+	l.wbuf = batch
 	return batch
 }
 
@@ -358,18 +367,19 @@ loop:
 		l.conn = nil
 		l.connected = false
 		l.abortControlLocked()
-		n.updateDegradedLocked()
+		n.linkChangedLocked()
 	}
 	n.cond.Broadcast()
 	n.mu.Unlock()
 }
 
 // serveRepl is the replica side of a replication link: it runs on the
-// takeover connection's goroutine, appends in-order frames to the
-// per-session replica logs, and acks every message with the log's
-// contiguous high-water seq and epoch. Out-of-order or duplicate frames
-// are acknowledged without being applied — the resync protocol relies on
-// redelivery being idempotent.
+// takeover connection's goroutine, appends in-order entries to the
+// per-session replica logs, and acks each touched log's contiguous
+// high-water seq and epoch once per burst — when the scanner has nothing
+// further buffered. Out-of-order or duplicate frames are acknowledged
+// without being applied — the resync protocol relies on redelivery being
+// idempotent.
 //
 // Epoch fencing happens here. An open carrying a newer epoch than the
 // held log truncates it (the old incarnation's frames are garbage now)
@@ -406,112 +416,164 @@ func (n *Node) serveRepl(from string, conn net.Conn) {
 	if _, err := conn.Write(appendReplMsg(replMsg{Type: msgReplWelcome})); err != nil {
 		return
 	}
-	sc := server.NewFrameScanner(conn)
+	// maxUnanswered bounds how many messages a sender that never pauses
+	// can stream before it hears back; it matches the sender's batch size.
+	const maxUnanswered = 256
+	var (
+		sc         = server.NewFrameScanner(conn)
+		out        []byte                       // replies of the current burst
+		touched    = map[*replicaLog]struct{}{} // logs owed an ack at the end of the burst
+		acks       []replMsg
+		unanswered int
+		vt         pir.VarTable // admission-decode scratch
+		scratch    pir.Batch
+	)
 	for sc.Scan() {
-		m, err := decodeReplMsg(sc.Bytes())
-		if err != nil {
-			return
+		unanswered++
+		if sc.Binary() {
+			if sc.BinaryType() != server.BinRepl {
+				return
+			}
+			rl, reply, ok := n.appendReplicated(conn, sc.Bytes(), &vt, &scratch)
+			switch {
+			case !ok:
+				return
+			case rl != nil:
+				touched[rl] = struct{}{}
+			default:
+				out = append(out, appendReplMsg(reply)...)
+			}
+		} else {
+			m, err := decodeReplMsg(sc.Bytes())
+			if err != nil || m.Session == "" {
+				return
+			}
+			var reply replMsg
+			switch m.Type {
+			case msgReplOpen:
+				if m.Hello == nil {
+					return
+				}
+				reply = n.openReplicated(from, conn, m)
+			case msgReplHandoff:
+				reply = n.adoptHandoff(from, conn, m)
+			default:
+				return
+			}
+			out = append(out, appendReplMsg(reply)...)
 		}
-		var reply replMsg
-		switch m.Type {
-		case msgReplOpen:
-			if m.Hello == nil || m.Session == "" {
-				return
+		if sc.Buffered() > 0 && unanswered < maxUnanswered {
+			continue // mid-burst: the acks owed so far are cumulative and can wait
+		}
+		n.mu.Lock()
+		acks = acks[:0]
+		for rl := range touched {
+			if n.replicated[rl.key] == rl { // else promoted away meanwhile; the sender's next message draws the reject
+				acks = append(acks, replMsg{Type: msgReplAck, Session: rl.key, Seq: int64(len(rl.log)), Epoch: rl.epoch})
 			}
-			// A newer incarnation opening here is also the authoritative
-			// word that any hosted copy of the key this node still runs
-			// (an ex-owner that missed its own demotion) is stale.
-			n.superseded(m.Session, m.Epoch, from, "newer incarnation replicated here")
-			n.mu.Lock()
-			rl := n.replicated[m.Session]
-			if rl == nil {
-				if held := n.epochs[m.Session]; held > m.Epoch {
-					// No log, but this node has seen a newer incarnation of
-					// the key (it may host it right now): a zombie ex-owner
-					// re-opening at its old epoch must not plant a stale log
-					// here. Reject instead of creating one.
-					n.met.staleEpochs.Inc()
-					reply = replMsg{Type: msgReplReject, Session: m.Session, Code: rejectStaleEpoch, Epoch: held}
-					n.mu.Unlock()
-					n.log("cluster: rejected stale open of %s from %s (epoch %d < held %d)", m.Session, from, m.Epoch, held)
-					break
-				}
-				rl = &replicaLog{hello: *m.Hello, epoch: m.Epoch}
-				n.replicated[m.Session] = rl
-				n.met.sessionsReplicated.Set(int64(len(n.replicated)))
-			}
-			switch {
-			case m.Epoch < rl.epoch:
-				n.met.staleEpochs.Inc()
-				reply = replMsg{Type: msgReplReject, Session: m.Session, Code: rejectStaleEpoch, Epoch: rl.epoch}
-				n.mu.Unlock()
-				n.log("cluster: rejected stale open of %s from %s (epoch %d < %d)", m.Session, from, m.Epoch, rl.epoch)
-			default:
-				if m.Epoch > rl.epoch {
-					// Fence: the held log belongs to a dead incarnation.
-					n.met.fences.Inc()
-					n.log("cluster: fencing %s (epoch %d → %d, %d frames truncated)", m.Session, rl.epoch, m.Epoch, len(rl.frames))
-					rl.frames = nil
-					rl.hello = *m.Hello
-					rl.epoch = m.Epoch
-				}
-				rl.feeder = conn
-				rl.from = from
-				n.observeEpochLocked(m.Session, m.Epoch)
-				reply = replMsg{Type: msgReplAck, Session: m.Session, Seq: int64(len(rl.frames)), Epoch: rl.epoch}
-				n.mu.Unlock()
-			}
-		case msgReplFrame:
-			if m.Frame == nil || m.Session == "" {
-				return
-			}
-			n.mu.Lock()
-			rl := n.replicated[m.Session]
-			if rl == nil {
-				// No log: either this node promoted the key out of its
-				// replica set (failover or handoff adoption deleted the log
-				// while the old feeder was still streaming) — tell the
-				// sender it is fenced — or a frame genuinely preceded its
-				// open, which is a protocol error worth dropping the link.
-				held := n.epochs[m.Session]
-				n.mu.Unlock()
-				if held > m.Epoch {
-					n.met.staleEpochs.Inc()
-					reply = replMsg{Type: msgReplReject, Session: m.Session, Code: rejectStaleEpoch, Epoch: held}
-					break
-				}
-				return
-			}
-			switch {
-			case m.Epoch < rl.epoch:
-				n.met.staleEpochs.Inc()
-				reply = replMsg{Type: msgReplReject, Session: m.Session, Code: rejectStaleEpoch, Epoch: rl.epoch}
-			case rl.feeder != conn:
-				// Not the current feeder: acknowledge without applying, so
-				// a superseded connection drains harmlessly instead of
-				// forking the log.
-				reply = replMsg{Type: msgReplAck, Session: m.Session, Seq: int64(len(rl.frames)), Epoch: rl.epoch}
-			default:
-				if m.Frame.Seq == int64(len(rl.frames))+1 {
-					rl.frames = append(rl.frames, *m.Frame)
-					n.met.framesRecv.Inc()
-				}
-				reply = replMsg{Type: msgReplAck, Session: m.Session, Seq: int64(len(rl.frames)), Epoch: rl.epoch}
-			}
-			n.mu.Unlock()
-		case msgReplHandoff:
-			if m.Session == "" {
-				return
-			}
-			reply = n.adoptHandoff(from, conn, m)
-		default:
-			return
+		}
+		n.mu.Unlock()
+		clear(touched)
+		for _, a := range acks {
+			out = append(out, appendReplMsg(a)...)
 		}
 		conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-		if _, err := conn.Write(appendReplMsg(reply)); err != nil {
+		if _, err := conn.Write(out); err != nil {
 			return
 		}
+		out, unanswered = out[:0], 0
 	}
+}
+
+// openReplicated handles a repl-open on the replica side: create, adopt
+// or fence the session's replica log and answer with its high-water seq,
+// or refuse a stale incarnation.
+func (n *Node) openReplicated(from string, conn net.Conn, m replMsg) replMsg {
+	// A newer incarnation opening here is also the authoritative word that
+	// any hosted copy of the key this node still runs (an ex-owner that
+	// missed its own demotion) is stale.
+	n.superseded(m.Session, m.Epoch, from, "newer incarnation replicated here")
+	n.mu.Lock()
+	rl := n.replicated[m.Session]
+	held := n.epochs[m.Session]
+	if rl != nil {
+		held = rl.epoch
+	}
+	if m.Epoch < held {
+		// Either the held log is newer, or there is no log but this node
+		// has seen a newer incarnation of the key (it may host it right
+		// now): a zombie ex-owner re-opening at its old epoch must not
+		// plant a stale log here.
+		n.met.staleEpochs.Inc()
+		n.mu.Unlock()
+		n.log("cluster: rejected stale open of %s from %s (epoch %d < %d)", m.Session, from, m.Epoch, held)
+		return replMsg{Type: msgReplReject, Session: m.Session, Code: rejectStaleEpoch, Epoch: held}
+	}
+	if rl == nil {
+		rl = &replicaLog{key: m.Session, hello: *m.Hello, epoch: m.Epoch}
+		n.replicated[m.Session] = rl
+		n.met.sessionsReplicated.Set(int64(len(n.replicated)))
+	}
+	truncated := -1
+	if m.Epoch > rl.epoch {
+		// Fence: the held log belongs to a dead incarnation.
+		n.met.fences.Inc()
+		truncated = len(rl.log)
+		rl.log = nil
+		rl.hello = *m.Hello
+		rl.epoch = m.Epoch
+	}
+	rl.feeder = conn
+	rl.from = from
+	n.observeEpochLocked(m.Session, m.Epoch)
+	reply := replMsg{Type: msgReplAck, Session: m.Session, Seq: int64(len(rl.log)), Epoch: rl.epoch}
+	n.mu.Unlock()
+	if truncated >= 0 {
+		n.log("cluster: fencing %s (epoch %d → %d, %d frames truncated)", m.Session, held, m.Epoch, truncated)
+	}
+	return reply
+}
+
+// appendReplicated handles one data frame on the replica side. The entry
+// is decoded before anything else — a replica must never hold, let alone
+// ack, bytes a later promotion could not replay — and only then triaged
+// against the log (epoch fence, feeder, next-in-order). It returns the
+// log now owed an ack, or the reply to send instead; ok=false drops the
+// link (malformed frame, or a frame that preceded its open).
+func (n *Node) appendReplicated(conn net.Conn, payload []byte, vt *pir.VarTable, scratch *pir.Batch) (rl *replicaLog, reply replMsg, ok bool) {
+	fr, err := parseDataFrame(payload)
+	if err != nil {
+		return nil, reply, false
+	}
+	if f, err := decodeEntry(fr.entry, vt, scratch); err != nil || f.Seq != fr.seq {
+		return nil, reply, false
+	}
+	entry := append([]byte(nil), fr.entry...) // the scanner reuses its buffer
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	rl = n.replicated[string(fr.session)]
+	held := n.epochs[string(fr.session)]
+	if rl != nil {
+		held = rl.epoch
+	}
+	if fr.epoch < held {
+		// Stale incarnation. With no log this node promoted the key out of
+		// its replica set (failover or handoff adoption deleted the log
+		// while the old feeder was still streaming): tell the sender it
+		// is fenced.
+		n.met.staleEpochs.Inc()
+		return nil, replMsg{Type: msgReplReject, Session: string(fr.session), Code: rejectStaleEpoch, Epoch: held}, true
+	}
+	if rl == nil {
+		return nil, reply, false // a frame genuinely preceded its open: protocol error
+	}
+	// Not the current feeder: acknowledge without applying, so a
+	// superseded connection drains harmlessly instead of forking the log.
+	if rl.feeder == conn && fr.seq == int64(len(rl.log))+1 {
+		rl.log = append(rl.log, entry)
+		n.met.framesRecv.Inc()
+	}
+	return rl, reply, true
 }
 
 // adoptHandoff is the replica side of a drain transfer: validate that
@@ -528,7 +590,7 @@ func (n *Node) adoptHandoff(from string, conn net.Conn, m replMsg) replMsg {
 		held = rl.epoch
 	}
 	if rl == nil || rl.feeder != conn || m.Epoch <= rl.epoch ||
-		int64(len(rl.frames)) != m.Seq || n.draining || n.closed {
+		int64(len(rl.log)) != m.Seq || n.draining || n.closed {
 		n.mu.Unlock()
 		return replMsg{Type: msgReplReject, Session: m.Session, Code: rejectHandoffMismatch, Epoch: held}
 	}
@@ -543,7 +605,7 @@ func (n *Node) adoptHandoff(from string, conn net.Conn, m replMsg) replMsg {
 	rl.from = ""
 	n.observeEpochLocked(m.Session, m.Epoch)
 	hello := rl.hello
-	frames := append([]server.ClientFrame(nil), rl.frames...)
+	log := append([][]byte(nil), rl.log...)
 	n.mu.Unlock()
 	defer func() {
 		n.mu.Lock()
@@ -552,12 +614,10 @@ func (n *Node) adoptHandoff(from string, conn net.Conn, m replMsg) replMsg {
 		close(done)
 	}()
 
-	mode, _ := ParseDurability(hello.Durability)
-	n.log("cluster: adopting %s from draining %s (%d frames, epoch %d)", m.Session, from, len(frames), m.Epoch)
-	if _, err := n.srv.OpenRecovered(hello, frames); err != nil {
+	n.log("cluster: adopting %s from draining %s (%d frames, epoch %d)", m.Session, from, len(log), m.Epoch)
+	if _, err := n.openFromLog(hello, log, m.Epoch); err != nil {
 		n.log("cluster: handoff adoption of %s failed: %v", m.Session, err)
 		return replMsg{Type: msgReplReject, Session: m.Session, Code: rejectHandoffFailed, Epoch: m.Epoch}
 	}
-	n.registerHosted(m.Session, hello, frames, m.Epoch, mode)
 	return replMsg{Type: msgReplHandoffAck, Session: m.Session, Epoch: m.Epoch}
 }

@@ -4,9 +4,10 @@
 // same shape the bitset lowering wants, so the server's hot path
 // decodes bytes straight into the form the monitor consumes and skips
 // per-event JSON decoding entirely. Batches travel either as a "batch"
-// NDJSON frame (JSON column encoding, used by cluster replication and
-// recovery replay) or as the binary payload of a length-prefixed batch
-// frame (see the server package for framing and negotiation).
+// NDJSON frame (JSON column encoding) or as the binary payload of a
+// length-prefixed batch frame (see the server package for framing and
+// negotiation); the cluster's replication log stores and ships the same
+// binary payload, one self-contained entry per accepted frame.
 //
 // The binary payload interns variable names in a per-connection
 // VarTable: a name is declared once with an explicit index and
@@ -19,6 +20,7 @@ package pir
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -42,7 +44,7 @@ const (
 )
 
 // VarSet is one variable assignment riding on an event. The short JSON
-// keys keep the NDJSON batch encoding (cluster replication) compact.
+// keys keep the NDJSON batch encoding compact.
 type VarSet struct {
 	Name string `json:"n"`
 	Val  int    `json:"v"`
@@ -61,9 +63,8 @@ type Batch struct {
 	Sets   []VarSet `json:"sets,omitempty"`
 
 	// pooled marks batches handed out by GetBatch; only those return to
-	// the pool on Recycle, so JSON-decoded and Cloned batches (which the
-	// cluster retains in frame logs) can never be recycled under a
-	// reader.
+	// the pool on Recycle, so JSON-decoded and Cloned batches (which
+	// outlive the apply path) can never be recycled under a reader.
 	pooled bool
 }
 
@@ -156,8 +157,8 @@ func (b *Batch) begin(proc int, kind byte, msg int) {
 
 // Validate checks the structural invariants of a batch. Binary decode
 // only constructs valid batches; JSON-decoded batches (the "batch"
-// NDJSON frame, cluster replication, recovery replay) arrive from
-// untrusted bytes and must pass here before apply.
+// NDJSON frame) arrive from untrusted bytes and must pass here before
+// apply.
 func (b *Batch) Validate() error {
 	n := len(b.Procs)
 	if n > MaxBatchEvents {
@@ -309,7 +310,7 @@ func (b *Batch) DecodeBody(body []byte, t *VarTable) error {
 	b.SetOff = append(b.SetOff, 0)
 	for i := uint64(0); i < count; i++ {
 		head, n := binary.Uvarint(body)
-		if n <= 0 || head>>2 > uint64(1)<<31 {
+		if n <= 0 || head>>2 > math.MaxInt32 {
 			return fmt.Errorf("pir: bad event head")
 		}
 		body = body[n:]
@@ -321,6 +322,9 @@ func (b *Batch) DecodeBody(body []byte, t *VarTable) error {
 			var err error
 			if msg, body, err = decodeZigzag(body); err != nil {
 				return err
+			}
+			if msg != int64(int32(msg)) {
+				return fmt.Errorf("pir: message id %d outside the int32 range", msg)
 			}
 		}
 		b.Msgs = append(b.Msgs, int32(msg))

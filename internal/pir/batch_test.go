@@ -1,6 +1,7 @@
 package pir
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -189,5 +190,41 @@ func TestVarTableReset(t *testing.T) {
 	p2 := AppendBatch(nil, 1, b, &enc)
 	if string(p1) != string(p2) {
 		t.Fatal("reset table did not re-declare names")
+	}
+}
+
+// TestBatchDecodeRejectsNarrowing: ids that do not fit a batch row's
+// int32 columns are decode errors, never silently wrapped — 2³¹ as a
+// proc would turn negative, 2³²+1 as a msg would alias message 1.
+func TestBatchDecodeRejectsNarrowing(t *testing.T) {
+	event := func(head uint64, msg int64) []byte {
+		body := binary.AppendUvarint(nil, 1) // count
+		body = binary.AppendUvarint(body, head)
+		if k := byte(head & 3); k == EvSend || k == EvReceive {
+			body = appendZigzag(body, msg)
+		}
+		return binary.AppendUvarint(body, 0) // nsets
+	}
+	for _, c := range []struct {
+		name string
+		body []byte
+		ok   bool
+	}{
+		{"proc 2^31-1", event((1<<31-1)<<2|uint64(EvInternal), 0), true},
+		{"proc 2^31", event(1<<31<<2|uint64(EvInternal), 0), false},
+		{"msg 2^31-1", event(1<<2|uint64(EvSend), 1<<31-1), true},
+		{"msg -2^31", event(1<<2|uint64(EvReceive), -1<<31), true},
+		{"msg 2^31", event(1<<2|uint64(EvSend), 1<<31), false},
+		{"msg 2^32+1", event(1<<2|uint64(EvReceive), 1<<32+1), false},
+		{"msg -2^31-1", event(1<<2|uint64(EvSend), -1<<31-1), false},
+	} {
+		b := &Batch{}
+		err := b.DecodeBody(c.body, &VarTable{})
+		if c.ok && err != nil {
+			t.Errorf("%s: rejected: %v", c.name, err)
+		}
+		if !c.ok && err == nil {
+			t.Errorf("%s: decoded as proc %d msg %d", c.name, b.Procs[0], b.Msg(0))
+		}
 	}
 }

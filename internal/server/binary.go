@@ -10,9 +10,10 @@
 // Binary frame layout:
 //
 //	0xB1                  FrameMagic
-//	type byte             BinBatch is the only type today
+//	type byte             BinBatch (client ingest) or BinRepl (cluster links)
 //	uvarint length        payload bytes, ≤ MaxFrameBytes
-//	payload               for BinBatch: a pir binary batch payload
+//	payload               for BinBatch: a pir binary batch payload;
+//	                      for BinRepl: see internal/cluster/wire.go
 //
 // Binary ingest is negotiated: a hello or resume frame carrying
 // "encoding":"binary" opts the connection in, and the welcome echoes
@@ -53,6 +54,10 @@ const FrameMagic byte = 0xB1
 const (
 	// BinBatch carries a pir binary batch payload (seq + events).
 	BinBatch byte = 0x01
+	// BinRepl carries one entry of a session's replication log between
+	// cluster nodes. Only replication links speak it; on a client
+	// connection it is an unknown frame type.
+	BinRepl byte = 0x02
 )
 
 // ErrFrameTooLong reports a frame (either encoding) whose size exceeds
@@ -202,6 +207,11 @@ func (s *FrameScanner) Binary() bool { return s.binary }
 
 // BinaryType returns the type byte of the current binary frame.
 func (s *FrameScanner) BinaryType() byte { return s.typ }
+
+// Buffered returns the bytes already read from the stream that Scan has
+// not consumed yet. Zero means the next Scan waits on the peer — the
+// point at which a reader that answers per burst should answer.
+func (s *FrameScanner) Buffered() int { return s.br.Buffered() }
 
 // Err returns the first error encountered (nil at clean EOF).
 func (s *FrameScanner) Err() error { return s.err }

@@ -867,13 +867,18 @@ func (s *Session) handleAck(seq int64) {
 	s.wmu.Unlock()
 }
 
+// pruneOutboxLocked drops every frame with a sequence number ≤ seq from
+// the head of the outbox, in place: the survivors move down, and the
+// vacated tail is cleared so the dropped frames' batches are released.
 func (s *Session) pruneOutboxLocked(seq int64) {
 	i := 0
 	for i < len(s.outbox) && s.outbox[i].Seq <= seq {
 		i++
 	}
 	if i > 0 {
-		s.outbox = append([]server.ClientFrame(nil), s.outbox[i:]...)
+		n := copy(s.outbox, s.outbox[i:])
+		clear(s.outbox[n:])
+		s.outbox = s.outbox[:n]
 	}
 }
 

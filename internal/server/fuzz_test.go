@@ -153,7 +153,7 @@ func FuzzFirstFrame(f *testing.F) {
 	f.Add([]byte(`{"type":"repl-hello","from":"127.0.0.1:1"}`))
 	f.Add([]byte(`{"type":"repl-open","session":"k","epoch":-1}`))
 	f.Add([]byte(`{"type":"repl-open","session":"k","epoch":9223372036854775807}`))
-	f.Add([]byte(`{"type":"repl-frame","session":"k","epoch":1,"seq":1}`))
+	f.Add([]byte{FrameMagic, BinRepl, 0x05, 0x01, 'k', 0x01, 0x01, 0x00}) // a replication data frame
 	f.Add([]byte(`{"type":"repl-handoff","session":"k","epoch":2,"seq":0}`))
 	f.Add([]byte(`{"type":"repl-reject","session":"k","code":"stale-epoch","epoch":3}`))
 	f.Add([]byte(`{"type":"hello","processes":2,"resumable":true,"durability":"durable"}`))
@@ -189,7 +189,7 @@ func FuzzFirstFrame(f *testing.F) {
 // header split, the batch body decoder with a persistent interning
 // table — and asserts the invariant the ingest path relies on: nothing
 // panics, the scanner never yields an oversized frame, and any batch
-// that decodes also validates. Seeds cover a well-formed batched
+// that decodes also validates and carries no wrapped (negative) proc. Seeds cover a well-formed batched
 // stream, truncation at both frame and body granularity, hostile
 // declared lengths, and NDJSON/binary mixed streams.
 func FuzzBinaryFrames(f *testing.F) {
@@ -218,6 +218,10 @@ func FuzzBinaryFrames(f *testing.F) {
 	f.Add([]byte{FrameMagic, 0x7f, 0x00})                                                                       // unknown frame type
 	f.Add(binary.AppendUvarint([]byte{FrameMagic, BinBatch}, MaxFrameBytes+1))
 	f.Add([]byte{FrameMagic, BinBatch, 0x03, 0x01, 0xff, 0x01}) // seq 1, garbage body
+	// Ids that would wrap or alias if narrowed to the int32 columns
+	// unchecked: one internal event on proc 2³¹, one send of msg 2³²+1.
+	f.Add([]byte{FrameMagic, BinBatch, 0x08, 0x01, 0x01, 0x80, 0x80, 0x80, 0x80, 0x20, 0x00})
+	f.Add([]byte{FrameMagic, BinBatch, 0x09, 0x01, 0x01, 0x05, 0x82, 0x80, 0x80, 0x80, 0x20, 0x00})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := NewFrameScanner(bytes.NewReader(data))
@@ -243,6 +247,11 @@ func FuzzBinaryFrames(f *testing.F) {
 			}
 			if err := b.Validate(); err != nil {
 				t.Fatalf("decoded batch fails Validate: %v", err)
+			}
+			for i, p := range b.Procs {
+				if p < 0 {
+					t.Fatalf("event %d decoded with proc %d: the head was narrowed unchecked", i, p)
+				}
 			}
 			b.Recycle()
 		}

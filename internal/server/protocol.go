@@ -160,10 +160,10 @@ type ClientFrame struct {
 
 	// batch: a run of init/event frames in column form, applied in
 	// order under the frame's single Seq. This is how batches appear
-	// on the NDJSON encoding (and inside cluster replication messages
-	// and recovery replay); on the binary encoding the same columns
-	// arrive as a BinBatch payload and are decoded straight into
-	// pir.Batch without passing through JSON.
+	// on the NDJSON encoding; on the binary encoding (and in the
+	// cluster's replication log) the same columns are a pir binary
+	// batch payload, decoded straight into pir.Batch without passing
+	// through JSON.
 	Batch *pir.Batch `json:"batch,omitempty"`
 }
 

@@ -758,8 +758,7 @@ func (s *Session) handleBatch(f inFrame) int64 {
 		return 0
 	}
 	// Binary decode only constructs valid batches; JSON-decoded ones
-	// (NDJSON clients, cluster replication, recovery replay) are
-	// untrusted shapes.
+	// (NDJSON clients) are untrusted shapes.
 	if err := b.Validate(); err != nil {
 		s.reject(f, err.Error())
 		return 0
