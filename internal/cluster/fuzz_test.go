@@ -4,7 +4,6 @@ import (
 	"context"
 	"net"
 	"strconv"
-	"sync"
 	"testing"
 	"time"
 
@@ -13,40 +12,33 @@ import (
 	"repro/internal/server"
 )
 
-// fuzzNode is the shared single-node cluster FuzzReplProtocol hammers;
-// one per process keeps iterations cheap, and the per-iteration
-// handshake doubles as the liveness probe — if a previous input wedged
-// the replica handler, the next repl-welcome never arrives.
-var (
-	fuzzNodeOnce sync.Once
-	fuzzNodeAddr string
-	fuzzNode     *cluster.Node
-)
-
-func fuzzCluster(f *testing.F) string {
-	fuzzNodeOnce.Do(func() {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			f.Fatal(err)
-		}
-		id := ln.Addr().String()
-		reg := obs.NewRegistry()
-		fuzzNode, err = cluster.New(
-			server.Config{Registry: reg, ReadTimeout: time.Second, IdleTimeout: time.Second},
-			cluster.NodeConfig{Self: id, Peers: []string{id}, Replicas: 2, Registry: reg},
-		)
-		if err != nil {
-			f.Fatal(err)
-		}
-		go fuzzNode.Serve(ln) //nolint:errcheck // closed by Shutdown
-		fuzzNodeAddr = id
-	})
+// fuzzCluster starts the single-node cluster a fuzz function hammers and
+// shuts it down when that function ends. One node per call — not one per
+// process — so a repeated run (-count=2) never meets a node the previous
+// run shut down; iterations stay cheap, and the per-iteration handshake
+// doubles as the liveness probe: if a previous input wedged the replica
+// handler, the next repl-welcome never arrives.
+func fuzzCluster(f *testing.F) (*cluster.Node, string) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	id := ln.Addr().String()
+	reg := obs.NewRegistry()
+	node, err := cluster.New(
+		server.Config{Registry: reg, ReadTimeout: time.Second, IdleTimeout: time.Second},
+		cluster.NodeConfig{Self: id, Peers: []string{id}, Replicas: 2, Registry: reg},
+	)
+	if err != nil {
+		f.Fatal(err)
+	}
+	go node.Serve(ln) //nolint:errcheck // closed by Shutdown
 	f.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		fuzzNode.Shutdown(ctx) //nolint:errcheck
+		node.Shutdown(ctx) //nolint:errcheck
 	})
-	return fuzzNodeAddr
+	return node, id
 }
 
 // FuzzReplProtocol throws arbitrary bytes at the replica side of the
@@ -102,7 +94,7 @@ func FuzzReplProtocol(f *testing.F) {
 	f.Add(append([]byte(open("k", "3")), cluster.DataFrame("k", 3, 1, batchEntry(1, 0x01, 0x05, 0x82, 0x80, 0x80, 0x80, 0x20, 0x00))...))
 	f.Add([]byte("not json\n"))
 	f.Add([]byte{0x00, 0xff, '\n'})
-	addr := fuzzCluster(f)
+	node, addr := fuzzCluster(f)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
@@ -125,7 +117,7 @@ func FuzzReplProtocol(f *testing.F) {
 		conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
 		for sc.Scan() {
 		}
-		if err := fuzzNode.CheckReplicaLogs(); err != nil {
+		if err := node.CheckReplicaLogs(); err != nil {
 			t.Fatal(err)
 		}
 	})

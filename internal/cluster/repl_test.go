@@ -410,3 +410,60 @@ func TestClusterLinkBlipLogIdentical(t *testing.T) {
 		t.Fatalf("close: %v (goodbye %+v)", err, gb)
 	}
 }
+
+// TestClusterFailoverRedeclaresVariables: a binary client names variables
+// by per-connection index in order of first appearance, every log entry
+// carries its own table, and the connection to the promoted replica meets
+// the names in the opposite order of the one to the dead owner ("b" then
+// "a", after "a" then "b"). Valuations keyed on any of those wire indices
+// would swap the two after the failover; the session must latch exactly
+// what one that never moved latches.
+func TestClusterFailoverRedeclaresVariables(t *testing.T) {
+	h := startCluster(t, 3, false, 0)
+	run := func(key string, kill bool) []server.ServerFrame {
+		succ := h.nodes[0].Ring().Successors(key, 2)
+		cfg := clientConfig(key, h.ids, 47)
+		cfg.Processes = 2
+		cfg.Encoding = server.EncodingBinary
+		cfg.Watches = []server.Watch{
+			{Op: "EF", Pred: "conj(a@P1 == 2, b@P2 == 2)"},
+			{Op: "AG", Pred: "conj(b@P1 <= 5)"},
+			{Op: "EF", Pred: "conj(a@P2 >= 1)"}, // never: only b is ever assigned on P2
+		}
+		sess, err := client.Dial("", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.Internal(0, map[string]int{"a": 1})
+		sess.Internal(1, map[string]int{"b": 1})
+		if kill {
+			if err := sess.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			waitReplicaLog(t, h.nodes[h.index(succ[1])], key, 1)
+			h.kls[h.index(succ[0])].Kill()
+		}
+		sess.Internal(1, map[string]int{"b": 2})
+		sess.Internal(0, map[string]int{"a": 2})         // the first EF fires here
+		sess.Internal(0, map[string]int{"b": 7, "a": 3}) // and the AG fails here
+		gb, err := sess.Close()
+		if err != nil || gb.Events != 5 {
+			t.Fatalf("close: %v (goodbye %+v)", err, gb)
+		}
+		if kill && sess.Stats().Reconnects == 0 {
+			t.Fatal("session finished without reconnecting despite the owner dying")
+		}
+		latched := sess.Latched()
+		for i := range latched {
+			latched[i].Session = ""
+		}
+		return latched
+	}
+	want := run("redeclare-ref", false)
+	if len(want) != 2 || want[0].Watch != 0 || want[0].Event != 4 || want[1].Watch != 1 || want[1].Event != 5 {
+		t.Fatalf("the session that never moved latched %+v, want the EF at event 4 and the AG at event 5", want)
+	}
+	if got := run("redeclare-kill", true); !reflect.DeepEqual(got, want) {
+		t.Fatalf("session moved by failover latched\n  %+v\nthe one that never moved\n  %+v", got, want)
+	}
+}

@@ -2,11 +2,75 @@ package online
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/computation"
+	"repro/internal/pir"
+	"repro/internal/predicate"
 	"repro/internal/sim"
 )
+
+// watchApplySession is the serve-paced session shape in process: n
+// processes each counting their events in "step", 64 EF watches whose
+// thresholds are staggered over the session (so the pending set drains
+// evenly) and one AG that never fails, on a bounded monitor, the
+// assignments fed as batch rows. One process per round sends to its
+// neighbour-but-one, which receives in the next round.
+func watchApplySession(tb testing.TB, n, efs, rounds int) {
+	m := NewBoundedMonitor(n)
+	for j := 1; j <= efs; j++ {
+		locals := make([]predicate.VarCmp, n)
+		for p := range locals {
+			locals[p] = Cmp(p, "step", ">=", j*rounds/(efs+1))
+		}
+		m.WatchEF(locals...)
+	}
+	inv := make([]predicate.VarCmp, n)
+	for p := range inv {
+		inv[p] = Cmp(p, "step", ">=", 0)
+	}
+	ag := m.WatchAG(inv...)
+	row := []pir.VarSet{{Name: "step"}}
+	prev := 0 // the message sent in the previous round, received in this one
+	for r := 0; r < rounds; r++ {
+		row[0].Val = r + 1
+		sent := 0
+		for p := 0; p < n; p++ {
+			switch {
+			case p == r%n:
+				sent = m.SendRow(p, row)
+			case p == (r+n-2)%n && prev != 0:
+				if err := m.ReceiveRow(p, prev, row); err != nil {
+					tb.Fatal(err)
+				}
+			default:
+				m.InternalRow(p, row)
+			}
+		}
+		prev = sent
+	}
+	if m.Latched() != efs || ag.Violated() || m.Retained() != 0 {
+		tb.Fatalf("latched %d of %d EF watches, AG violated %v, retained %d", m.Latched(), efs, ag.Violated(), m.Retained())
+	}
+}
+
+// BenchmarkWatchApply measures what one event costs a bounded monitor
+// carrying the serve-paced watch load (n=4, 64 staggered EF + 1 AG).
+func BenchmarkWatchApply(b *testing.B) {
+	const n, efs, rounds = 4, 64, 2500
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		watchApplySession(b, n, efs, rounds)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	events := float64(b.N * n * rounds)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/events, "allocs/event")
+}
 
 // BenchmarkMonitorThroughput measures event-ingestion cost with an active
 // EF watch — the online algorithm's per-event overhead.

@@ -68,11 +68,11 @@ func TestParseConj(t *testing.T) {
 	if len(locals) != 2 {
 		t.Fatalf("got %d locals, want 2", len(locals))
 	}
-	if locals[0].Proc != 0 || locals[0].Name == "" {
-		t.Errorf("first local = %+v", locals[0])
+	if want := Cmp(0, "x", "==", 1); locals[0] != want {
+		t.Errorf("first local = %+v, want %+v", locals[0], want)
 	}
-	if locals[1].Proc != 1 {
-		t.Errorf("second local on process %d, want 1", locals[1].Proc)
+	if want := Cmp(1, "y", ">=", 2); locals[1] != want {
+		t.Errorf("second local = %+v, want %+v", locals[1], want)
 	}
 
 	// A bare comparison is a one-conjunct watch.
@@ -84,11 +84,15 @@ func TestParseConj(t *testing.T) {
 		t.Fatalf("got %d locals, want 1", len(locals))
 	}
 
-	// Verify the compiled Holds closures actually compare.
-	if !locals[0].Holds(map[string]int{"x": 1}) {
+	// Verify the parsed conjunct actually compares once bound to a monitor.
+	m := NewMonitor(1)
+	m.SetInitial(0, "x", 1)
+	w := m.WatchAG(locals...)
+	if w.Violated() {
 		t.Error("x == 1 does not hold on x=1")
 	}
-	if locals[0].Holds(map[string]int{"x": 2}) {
+	m.Internal(0, map[string]int{"x": 2})
+	if !w.Violated() {
 		t.Error("x == 1 holds on x=2")
 	}
 

@@ -49,30 +49,13 @@ func (m *Monitor) Instrument(reg *obs.Registry) {
 	m.refreshGauges()
 }
 
-// refreshGauges recomputes the derived gauges. Called once per ingested
-// event when instrumented; cost is linear in the number of watches.
+// refreshGauges publishes the derived gauges from the monitor's running
+// totals. Called once per ingested event when instrumented.
 func (m *Monitor) refreshGauges() {
 	if m.met == nil {
 		return
 	}
-	depth, pending := 0, 0
-	for _, w := range m.efWatches {
-		if !w.cur.Fired() {
-			pending++
-		}
-		depth += w.cur.Retained()
-	}
-	for _, w := range m.agWatches {
-		if !w.violated {
-			pending++
-		}
-	}
-	for _, w := range m.stableWatches {
-		if !w.fired {
-			pending++
-		}
-	}
 	m.met.inFlight.Set(int64(m.inFlight))
-	m.met.queueDepth.Set(int64(depth))
-	m.met.watches.Set(int64(pending))
+	m.met.queueDepth.Set(int64(m.queued))
+	m.met.watches.Set(int64(m.watches - m.latched))
 }

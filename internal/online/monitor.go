@@ -37,11 +37,22 @@ import (
 
 // Monitor ingests events of an unfolding computation.
 type Monitor struct {
-	n        int
-	clocks   []vclock.VC // running clock per process
-	lens     []int       // events observed per process
-	vals     []map[string]int
-	initVals []map[string]int
+	n      int
+	clocks []vclock.VC // running clock per process
+	lens   []int       // events observed per process
+	events int         // sum of lens
+
+	// Valuations are dense: a variable name is interned to a slot on first
+	// sight (one map probe per assignment; bound conjuncts never probe) and
+	// vals[proc][slot] is its current value, every row len(names) long, an
+	// unassigned variable reading 0. The table is the monitor's own: wire
+	// indices restart with every connection and log entry, the monitor
+	// outlives them.
+	slots    map[string]int
+	names    []string // slot → name
+	vals     [][]int
+	initVals []map[string]int // read by Snapshot only
+	row      []pir.VarSet     // scratch of the map-taking Internal/Send/Receive
 	// start is the clock of the event being stepped — the one that began
 	// its process's current local state — copied on the first startClock
 	// request within the step and shared read-only by every watch that
@@ -66,9 +77,15 @@ type Monitor struct {
 	// O(|E|). Snapshot — and with it Detect — is unavailable.
 	bounded bool
 
-	efWatches     []*EFWatch
-	agWatches     []*AGWatch
+	// efOn[p] and agOn[p] are the watches still awaiting a verdict that
+	// constrain process p, in registration order: an event on p notifies
+	// only those, and a watch that latches leaves every list.
+	efOn          [][]efPending
+	agOn          [][]agPending
 	stableWatches []*StableWatch
+	watches       int // watches registered
+	latched       int // of those, verdicts latched (EF fired, AG violated, stable fired)
+	queued        int // candidates held by the EF watches' cursors
 
 	met *monMetrics // nil unless Instrument was called
 }
@@ -92,16 +109,32 @@ func NewMonitor(n int) *Monitor {
 		n:        n,
 		clocks:   make([]vclock.VC, n),
 		lens:     make([]int, n),
-		vals:     make([]map[string]int, n),
+		slots:    make(map[string]int),
+		vals:     make([][]int, n),
 		initVals: make([]map[string]int, n),
 		sends:    make(map[int]sendInfo),
+		efOn:     make([][]efPending, n),
+		agOn:     make([][]agPending, n),
 	}
 	for i := 0; i < n; i++ {
 		m.clocks[i] = vclock.New(n)
-		m.vals[i] = make(map[string]int)
 		m.initVals[i] = make(map[string]int)
 	}
 	return m
+}
+
+// slot returns the valuation column of name, interning it on first sight.
+func (m *Monitor) slot(name string) int {
+	s, ok := m.slots[name]
+	if !ok {
+		s = len(m.names)
+		m.slots[name] = s
+		m.names = append(m.names, name)
+		for i := range m.vals {
+			m.vals[i] = append(m.vals[i], 0)
+		}
+	}
+	return s
 }
 
 // NewBoundedMonitor returns a monitor that retains bounded state: the
@@ -128,14 +161,15 @@ func (m *Monitor) Bounded() bool { return m.bounded }
 // retained-state bound.
 func (m *Monitor) Retained() int {
 	if !m.bounded {
-		return m.Events()
+		return m.events
 	}
-	total := 0
-	for _, w := range m.efWatches {
-		total += w.cur.Retained()
-	}
-	return total
+	return m.queued
 }
+
+// Latched returns how many watch verdicts have latched so far (EF fired,
+// AG violated, stable fired). It only grows, so a caller polling the
+// watches after every event can skip the scan while it has not moved.
+func (m *Monitor) Latched() int { return m.latched }
 
 // startClock returns the vector clock of the event that began proc's
 // current local state (nil for state 0, which began at -∞). Watches only
@@ -164,13 +198,7 @@ func (m *Monitor) checkProc(proc int) {
 }
 
 // Events returns the number of events observed so far.
-func (m *Monitor) Events() int {
-	total := 0
-	for _, l := range m.lens {
-		total += l
-	}
-	return total
-}
+func (m *Monitor) Events() int { return m.events }
 
 // EventsOn returns the number of events observed on one process. It
 // panics when proc is out of range.
@@ -179,11 +207,14 @@ func (m *Monitor) EventsOn(proc int) int {
 	return m.lens[proc]
 }
 
-// Value returns the current value of a variable on a process. It panics
-// when proc is out of range.
+// Value returns the current value of a variable on a process (0 for a
+// name never assigned). It panics when proc is out of range.
 func (m *Monitor) Value(proc int, name string) int {
 	m.checkProc(proc)
-	return m.vals[proc][name]
+	if s, ok := m.slots[name]; ok {
+		return m.vals[proc][s]
+	}
+	return 0
 }
 
 // InFlight returns the number of messages currently in flight.
@@ -196,20 +227,47 @@ func (m *Monitor) SetInitial(proc int, name string, value int) {
 	if m.lens[proc] > 0 {
 		panic("online: SetInitial after events were observed")
 	}
-	m.vals[proc][name] = value
+	s := m.slot(name) // may grow the rows: index after, not before
+	m.vals[proc][s] = value
 	m.initVals[proc][name] = value
+}
+
+// rowOf adapts the map-taking Internal, Send and Receive to the row the
+// monitor steps on, in a reused scratch slice (map order: the names are
+// distinct, so order is immaterial).
+func (m *Monitor) rowOf(sets map[string]int) []pir.VarSet {
+	m.row = m.row[:0]
+	for name, v := range sets {
+		m.row = append(m.row, pir.VarSet{Name: name, Val: v})
+	}
+	return m.row
 }
 
 // Internal observes an internal event on proc with the given variable
 // assignments (may be nil). It panics when proc is out of range.
-func (m *Monitor) Internal(proc int, sets map[string]int) {
+func (m *Monitor) Internal(proc int, sets map[string]int) { m.InternalRow(proc, m.rowOf(sets)) }
+
+// Send observes a send event and returns the message id to pass to the
+// matching Receive. It panics when proc is out of range.
+func (m *Monitor) Send(proc int, sets map[string]int) int { return m.SendRow(proc, m.rowOf(sets)) }
+
+// Receive observes the receipt of message id on proc; see ReceiveRow for
+// the errors.
+func (m *Monitor) Receive(proc int, id int, sets map[string]int) error {
+	return m.ReceiveRow(proc, id, m.rowOf(sets))
+}
+
+// InternalRow observes an internal event on proc whose assignments are a
+// batch row, applied in order (the last assignment to a name wins). The
+// row is not retained. It panics when proc is out of range.
+func (m *Monitor) InternalRow(proc int, sets []pir.VarSet) {
 	m.checkProc(proc)
 	m.step(proc, pir.EvInternal, 0, sets)
 }
 
-// Send observes a send event and returns the message id to pass to the
-// matching Receive. It panics when proc is out of range.
-func (m *Monitor) Send(proc int, sets map[string]int) int {
+// SendRow observes a send event and returns the message id to pass to the
+// matching receive. It panics when proc is out of range.
+func (m *Monitor) SendRow(proc int, sets []pir.VarSet) int {
 	m.checkProc(proc)
 	m.nextMsg++
 	id := m.nextMsg
@@ -219,12 +277,12 @@ func (m *Monitor) Send(proc int, sets map[string]int) int {
 	return id
 }
 
-// Receive observes the receipt of message id on proc. It returns an error
-// if the message is unknown, already received, or a self-receive —
+// ReceiveRow observes the receipt of message id on proc. It returns an
+// error if the message is unknown, already received, or a self-receive —
 // observation-order violations, which leave the monitor state untouched
 // so ingest can report the bad frame and continue. It panics when proc is
 // out of range.
-func (m *Monitor) Receive(proc int, id int, sets map[string]int) error {
+func (m *Monitor) ReceiveRow(proc int, id int, sets []pir.VarSet) error {
 	m.checkProc(proc)
 	s, ok := m.sends[id]
 	if !ok {
@@ -243,27 +301,40 @@ func (m *Monitor) Receive(proc int, id int, sets map[string]int) error {
 	return nil
 }
 
-func (m *Monitor) step(proc int, kind byte, msg int, sets map[string]int) {
+func (m *Monitor) step(proc int, kind byte, msg int, sets []pir.VarSet) {
 	var start time.Time
 	if m.met != nil {
 		start = time.Now()
 	}
 	m.clocks[proc].Tick(proc)
 	m.lens[proc]++
-	for name, v := range sets {
-		m.vals[proc][name] = v
+	m.events++
+	for _, vs := range sets {
+		s := m.slot(vs.Name)
+		m.vals[proc][s] = vs.Val
 	}
 	m.start = nil
 	if !m.bounded {
-		m.rec.AddEvent(proc+1, kind, msg, sets)
+		m.rec.AddRow(proc+1, kind, msg, sets)
 	}
 
-	// Notify watches of the new local state.
-	for _, w := range m.efWatches {
-		w.observe(m, proc)
+	// Notify the pending watches constrained on proc of its new local
+	// state. An event elsewhere can neither offer one a candidate nor
+	// leave its cursor dirty (Step always runs to the fixed point).
+	before := m.latched
+	vals := m.vals[proc]
+	for _, e := range m.efOn[proc] {
+		if firstFalse(e.conj, vals) < 0 {
+			e.w.offer(m, proc)
+		}
 	}
-	for _, w := range m.agWatches {
-		w.observe(m, proc)
+	for _, e := range m.agOn[proc] {
+		if i := firstFalse(e.conj, vals); i >= 0 {
+			e.w.violate(m, proc, e.conj[i])
+		}
+	}
+	if m.latched != before {
+		m.dropLatched()
 	}
 	for _, w := range m.stableWatches {
 		w.observe(m)

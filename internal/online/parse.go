@@ -8,15 +8,15 @@ import (
 )
 
 // ParseConj parses a non-temporal conjunctive predicate in the ctl syntax
-// — conj(x@P1 == 1, y@P2 >= 2) or a single comparison — and adapts its
-// local conjuncts to LocalSpecs for WatchEF / WatchAG. The predicate is
+// — conj(x@P1 == 1, y@P2 >= 2) or a single comparison — into the local
+// comparisons WatchEF / WatchAG take. The predicate is
 // compiled and classified by the pir package — the same IR the offline
 // detector dispatches on — so the monitors and the server can never
 // disagree with core.Detect about what counts as conjunctive. Only
 // variable comparisons are supported online; temporal operators and other
 // predicate forms are errors. Shared by hbmon and hbserver, which both
 // accept watch predicates as text.
-func ParseConj(src string) ([]LocalSpec, error) {
+func ParseConj(src string) ([]predicate.VarCmp, error) {
 	p, err := pir.CompileSource(src)
 	if err != nil {
 		return nil, fmt.Errorf("watch %q must be a non-temporal conjunctive predicate: %v", src, err)
@@ -25,13 +25,13 @@ func ParseConj(src string) ([]LocalSpec, error) {
 	if !ok {
 		return nil, fmt.Errorf("watch %q must be conjunctive, got %s (class %s)", src, p.P, p.Class)
 	}
-	out := make([]LocalSpec, 0, len(locals))
+	out := make([]predicate.VarCmp, 0, len(locals))
 	for _, l := range locals {
 		vc, ok := l.(predicate.VarCmp)
 		if !ok {
 			return nil, fmt.Errorf("watch %q: only variable comparisons are supported online", src)
 		}
-		out = append(out, specOf(vc))
+		out = append(out, vc)
 	}
 	return out, nil
 }

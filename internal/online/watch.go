@@ -2,6 +2,7 @@ package online
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/computation"
 	"repro/internal/core"
@@ -10,35 +11,69 @@ import (
 	"repro/internal/slice"
 )
 
-// LocalSpec is a local predicate for online detection, evaluated on a
-// process's variable valuation at each new local state.
-type LocalSpec struct {
-	Proc  int
-	Name  string
-	Holds func(vals map[string]int) bool
+// Cmp builds the conjunct "name@P(proc+1) op k" — what ParseConj yields
+// for each comparison of a parsed watch.
+func Cmp(proc int, name, op string, k int) predicate.VarCmp {
+	return predicate.VarCmp{Proc: proc, Var: name, Op: predicate.Op(op), K: k}
 }
 
-// Cmp builds the LocalSpec of the comparison "name@P(proc+1) op k".
-func Cmp(proc int, name, op string, k int) LocalSpec {
-	return specOf(predicate.VarCmp{Proc: proc, Var: name, Op: predicate.Op(op), K: k})
+// boundCmp is a conjunct bound to its monitor at registration, the
+// on-line twin of pir's Bind: "vals[slot] op k" on the valuation row of
+// the process it is grouped under, evaluated by predicate.Op.Holds.
+type boundCmp struct {
+	slot int
+	op   predicate.Op
+	k    int
 }
 
-// specOf is the online counterpart of a predicate.VarCmp: same name, and
-// the same operator semantics (predicate.Op.Holds) on the live valuation.
-func specOf(vc predicate.VarCmp) LocalSpec {
-	return LocalSpec{
-		Proc:  vc.Proc,
-		Name:  vc.String(),
-		Holds: func(vals map[string]int) bool { return vc.Op.Holds(vals[vc.Var], vc.K) },
+// bind resolves the conjuncts' variables to slots and groups them by
+// process (conj is indexed by process, nil where unconstrained); procs
+// lists the constrained processes in order of first appearance.
+func (m *Monitor) bind(locals []predicate.VarCmp) (conj [][]boundCmp, procs []int) {
+	conj = make([][]boundCmp, m.n)
+	for _, l := range locals {
+		if l.Proc < 0 || l.Proc >= m.n {
+			panic(fmt.Sprintf("online: local predicate on unknown process %d", l.Proc))
+		}
+		if conj[l.Proc] == nil {
+			procs = append(procs, l.Proc)
+		}
+		conj[l.Proc] = append(conj[l.Proc], boundCmp{slot: m.slot(l.Var), op: l.Op, k: l.K})
 	}
+	return conj, procs
 }
 
-// HoldsNow reports whether the spec holds in its process's current local
-// state — the frontier evaluation used by stable watches built from
-// parsed conjuncts (hbserver's STABLE op).
-func (l LocalSpec) HoldsNow(m *Monitor) bool {
-	m.checkProc(l.Proc)
-	return l.Holds(m.vals[l.Proc])
+// firstFalse returns the index of the first conjunct that fails on a
+// process's valuation row, or -1 when all hold.
+func firstFalse(conj []boundCmp, vals []int) int {
+	for i, c := range conj {
+		if !c.op.Holds(vals[c.slot], c.k) {
+			return i
+		}
+	}
+	return -1
+}
+
+// efPending and agPending are a pending watch's entry in one process's
+// dispatch list: its conjuncts on that process, held beside the watch so
+// that step reads the watch itself only when it has something to tell it.
+type efPending struct {
+	conj []boundCmp
+	w    *EFWatch
+}
+
+type agPending struct {
+	conj []boundCmp
+	w    *AGWatch
+}
+
+// dropLatched removes the watches that latched from the per-process
+// dispatch lists, keeping registration order.
+func (m *Monitor) dropLatched() {
+	for p := range m.efOn {
+		m.efOn[p] = slices.DeleteFunc(m.efOn[p], func(e efPending) bool { return e.w.cur.Fired() })
+		m.agOn[p] = slices.DeleteFunc(m.agOn[p], func(e agPending) bool { return e.w.violated })
+	}
 }
 
 // EFWatch incrementally detects EF(p) for a conjunctive predicate p — the
@@ -48,39 +83,33 @@ func (l LocalSpec) HoldsNow(m *Monitor) bool {
 // The verdict latches: once a satisfying consistent cut exists in the
 // observed prefix it exists in every extension.
 type EFWatch struct {
-	specs map[int][]LocalSpec // conjuncts grouped by process
-	cur   *slice.Online
+	cur *slice.Online
 }
 
 // WatchEF registers a conjunctive predicate given by its local conjuncts.
 // The returned watch fires as soon as some consistent cut of the observed
 // prefix satisfies every conjunct. An empty conjunct list fires
 // immediately (the empty conjunction holds at ∅).
-func (m *Monitor) WatchEF(locals ...LocalSpec) *EFWatch {
-	if m.Events() > 0 {
+func (m *Monitor) WatchEF(locals ...predicate.VarCmp) *EFWatch {
+	if m.events > 0 {
 		panic("online: WatchEF must be registered before events are observed")
 	}
-	w := &EFWatch{specs: make(map[int][]LocalSpec)}
-	var procs []int
-	for _, l := range locals {
-		if l.Proc < 0 || l.Proc >= m.n {
-			panic(fmt.Sprintf("online: local predicate on unknown process %d", l.Proc))
-		}
-		if _, seen := w.specs[l.Proc]; !seen {
-			procs = append(procs, l.Proc)
-		}
-		w.specs[l.Proc] = append(w.specs[l.Proc], l)
-	}
-	w.cur = slice.NewOnline(m.n, procs)
-	m.efWatches = append(m.efWatches, w)
+	conj, procs := m.bind(locals)
+	w := &EFWatch{cur: slice.NewOnline(m.n, procs)}
+	m.watches++
 	// Seed with the initial states (before any event) of the constrained
 	// processes whose conjuncts already hold.
 	for _, proc := range procs {
-		if m.lens[proc] == 0 && w.holdsAt(m, proc) {
+		if firstFalse(conj[proc], m.vals[proc]) < 0 {
 			w.cur.Offer(proc, 0, nil)
 		}
 	}
-	w.advance(m)
+	w.settle(m, 0)
+	if !w.cur.Fired() {
+		for _, proc := range procs {
+			m.efOn[proc] = append(m.efOn[proc], efPending{conj[proc], w})
+		}
+	}
 	return w
 }
 
@@ -94,35 +123,27 @@ func (w *EFWatch) Cut() computation.Cut { return w.cur.Cut() }
 // its entire per-prefix memory (the slice frontier of the predicate).
 func (w *EFWatch) Retained() int { return w.cur.Retained() }
 
-func (w *EFWatch) holdsAt(m *Monitor, proc int) bool {
-	for _, l := range w.specs[proc] {
-		if !l.Holds(m.vals[proc]) {
-			return false
-		}
-	}
-	return true
+// offer queues proc's new local state, in which the watch's conjuncts
+// on proc hold, as a candidate.
+func (w *EFWatch) offer(m *Monitor, proc int) {
+	before := w.cur.Retained()
+	w.cur.Offer(proc, m.lens[proc], m.startClock(proc))
+	w.settle(m, before)
 }
 
-// observe is called by the monitor after each event.
-func (w *EFWatch) observe(m *Monitor, proc int) {
-	if w.cur.Fired() {
-		return
-	}
-	if _, constrained := w.specs[proc]; constrained && w.holdsAt(m, proc) {
-		w.cur.Offer(proc, m.lens[proc], m.startClock(proc))
-	}
+// settle runs cursor elimination to its fixed point if a head changed,
+// then folds what the cursor gained or dropped since it held before
+// candidates, and a newly latched verdict, into the monitor's totals.
+func (w *EFWatch) settle(m *Monitor, before int) {
 	if w.cur.Dirty() {
-		w.advance(m)
+		w.cur.Step()
 	}
-}
-
-// advance runs cursor elimination to its fixed point and records a
-// newly-latched verdict in the metrics.
-func (w *EFWatch) advance(m *Monitor) {
-	wasFired := w.cur.Fired()
-	w.cur.Step()
-	if !wasFired && w.cur.Fired() && m.met != nil {
-		m.met.efFired.Inc()
+	m.queued += w.cur.Retained() - before
+	if w.cur.Fired() {
+		m.latched++
+		if m.met != nil {
+			m.met.efFired.Inc()
+		}
 	}
 }
 
@@ -131,30 +152,30 @@ func (w *EFWatch) advance(m *Monitor) {
 // in any local state, because every local state is exposed by a consistent
 // cut (the down-set of its starting event). The violation verdict latches.
 type AGWatch struct {
-	specs    map[int][]LocalSpec
 	violated bool
 	badCut   computation.Cut
 	badLocal string
 }
 
 // WatchAG registers an invariant given by its local conjuncts. The watch
-// reports a violation the moment one exists in the observed prefix.
-func (m *Monitor) WatchAG(locals ...LocalSpec) *AGWatch {
-	if m.Events() > 0 {
+// reports a violation the moment one exists in the observed prefix; when
+// several initial states violate it, the counterexample is the lowest
+// such process's first failing conjunct.
+func (m *Monitor) WatchAG(locals ...predicate.VarCmp) *AGWatch {
+	if m.events > 0 {
 		panic("online: WatchAG must be registered before events are observed")
 	}
-	w := &AGWatch{specs: make(map[int][]LocalSpec)}
-	for _, l := range locals {
-		if l.Proc < 0 || l.Proc >= m.n {
-			panic(fmt.Sprintf("online: local predicate on unknown process %d", l.Proc))
+	conj, procs := m.bind(locals)
+	w := &AGWatch{}
+	m.watches++
+	for proc := 0; proc < m.n && !w.violated; proc++ {
+		if i := firstFalse(conj[proc], m.vals[proc]); i >= 0 {
+			w.violate(m, proc, conj[proc][i])
 		}
-		w.specs[l.Proc] = append(w.specs[l.Proc], l)
 	}
-	m.agWatches = append(m.agWatches, w)
-	// Check the initial states.
-	for proc := range w.specs {
-		if m.lens[proc] == 0 {
-			w.check(m, proc)
+	if !w.violated {
+		for _, proc := range procs {
+			m.agOn[proc] = append(m.agOn[proc], agPending{conj[proc], w})
 		}
 	}
 	return w
@@ -168,30 +189,20 @@ func (w *AGWatch) Violated() bool { return w.violated }
 // Counterexample returns the violating cut and the failing conjunct name.
 func (w *AGWatch) Counterexample() (computation.Cut, string) { return w.badCut, w.badLocal }
 
-func (w *AGWatch) observe(m *Monitor, proc int) {
-	if w.violated {
-		return
+// violate latches the violation: conjunct c is false in proc's current
+// local state.
+func (w *AGWatch) violate(m *Monitor, proc int, c boundCmp) {
+	w.violated = true
+	m.latched++
+	if m.met != nil {
+		m.met.agViolated.Inc()
 	}
-	w.check(m, proc)
-}
-
-func (w *AGWatch) check(m *Monitor, proc int) {
-	for _, l := range w.specs[proc] {
-		if l.Holds(m.vals[proc]) {
-			continue
-		}
-		w.violated = true
-		if m.met != nil {
-			m.met.agViolated.Inc()
-		}
-		w.badLocal = l.Name
-		cut := computation.NewCut(m.n)
-		if start := m.startClock(proc); start != nil {
-			copy(cut, start)
-		}
-		w.badCut = cut
-		return
+	w.badLocal = predicate.VarCmp{Proc: proc, Var: m.names[c.slot], Op: c.op, K: c.k}.String()
+	cut := computation.NewCut(m.n)
+	if start := m.startClock(proc); start != nil {
+		copy(cut, start)
 	}
+	w.badCut = cut
 }
 
 // StableWatch evaluates a frontier predicate after every event; for a
@@ -210,6 +221,7 @@ type StableWatch struct {
 func (m *Monitor) WatchStable(name string, holds func(m *Monitor) bool) *StableWatch {
 	w := &StableWatch{Name: name, holds: holds}
 	m.stableWatches = append(m.stableWatches, w)
+	m.watches++
 	w.observe(m)
 	return w
 }
@@ -227,6 +239,7 @@ func (w *StableWatch) observe(m *Monitor) {
 	if w.holds(m) {
 		w.fired = true
 		w.at = m.Events()
+		m.latched++
 		if m.met != nil {
 			m.met.stable.Inc()
 		}

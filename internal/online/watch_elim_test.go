@@ -1,6 +1,10 @@
 package online
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/predicate"
+)
 
 // wideEliminationRounds drives the EFWatch head-elimination worst case: a
 // wide computation (procs many bystander processes with permanently-alive
@@ -41,7 +45,7 @@ func wideWatch(m *Monitor, procs int) *EFWatch {
 	// Bystanders registered FIRST: their permanently-alive heads sit at the
 	// front of the scan order, which is exactly what made the full-rescan
 	// algorithm quadratic per pop.
-	locals := make([]LocalSpec, 0, procs)
+	locals := make([]predicate.VarCmp, 0, procs)
 	for p := 2; p < procs; p++ {
 		locals = append(locals, Cmp(p, "zero", "==", 0))
 	}
@@ -96,7 +100,7 @@ func TestEFWatchWideEliminationCost(t *testing.T) {
 func TestEFWatchEliminationOrderInsensitive(t *testing.T) {
 	const procs, rounds = 8, 25
 	m := NewMonitor(procs)
-	locals := []LocalSpec{Cmp(0, "flag", "==", 1), Cmp(1, "flag", "==", 1)}
+	locals := []predicate.VarCmp{Cmp(0, "flag", "==", 1), Cmp(1, "flag", "==", 1)}
 	for p := 2; p < procs; p++ {
 		locals = append(locals, Cmp(p, "zero", "==", 0))
 	}

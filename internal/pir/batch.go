@@ -145,6 +145,14 @@ func (b *Batch) AddEvent(proc int, kind byte, msg int, sets map[string]int) {
 	b.SetOff[len(b.SetOff)-1] = uint32(len(b.Sets))
 }
 
+// AddRow appends one event whose assignments are already a row of
+// VarSets (another batch's Sets[lo:hi]), copied in order.
+func (b *Batch) AddRow(proc int, kind byte, msg int, sets []VarSet) {
+	b.begin(proc, kind, msg)
+	b.Sets = append(b.Sets, sets...)
+	b.SetOff[len(b.SetOff)-1] = uint32(len(b.Sets))
+}
+
 func (b *Batch) begin(proc int, kind byte, msg int) {
 	if len(b.SetOff) == 0 {
 		b.SetOff = append(b.SetOff, 0)

@@ -78,8 +78,8 @@ const (
 )
 
 // Holds reports whether "v op k" is true. It is the one place the
-// operator is interpreted on values: VarCmp (offline) and online.LocalSpec
-// (the monitors) both evaluate through it.
+// operator is interpreted on values: VarCmp (offline) and the monitors'
+// bound conjuncts (package online) both evaluate through it.
 func (op Op) Holds(v, k int) bool {
 	switch op {
 	case LT:

@@ -3,6 +3,7 @@ package client_test
 import (
 	"context"
 	"net"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -192,5 +193,81 @@ func TestReconnectResumesAndReplays(t *testing.T) {
 		if keyOf(want[i]) != keyOf(got[i]) {
 			t.Errorf("frame %d diverged: got %+v, want %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestResumeRedeclaresVariables cuts a binary session between two acked
+// events and the rest of the stream. Binary batches name variables by
+// per-connection index in order of first appearance, and the second
+// connection meets them in the opposite order ("b" then "a", where the
+// first declared "a" then "b"), so a server that keyed its valuations on
+// wire indices would swap the two after the resume. The verdicts must be
+// those of the uninterrupted run, frame for frame.
+func TestResumeRedeclaresVariables(t *testing.T) {
+	_, addr := startServer(t, server.Config{AckEvery: 1})
+	watches := []server.Watch{
+		{Op: "EF", Pred: "conj(a@P1 == 2, b@P2 == 2)"},
+		{Op: "AG", Pred: "conj(b@P1 <= 5)"},
+		{Op: "EF", Pred: "conj(a@P2 >= 1)"}, // never: only b is ever assigned on P2
+	}
+	run := func(interrupt bool) []server.ServerFrame {
+		var cur atomic.Pointer[net.Conn]
+		sess, err := client.Dial(addr, client.Config{
+			Processes:   2,
+			Watches:     watches,
+			Reconnect:   true,
+			Encoding:    server.EncodingBinary,
+			BackoffBase: 5 * time.Millisecond,
+			BackoffMax:  100 * time.Millisecond,
+			Dial: func(a string) (net.Conn, error) {
+				c, err := net.Dial("tcp", a)
+				if err != nil {
+					return nil, err
+				}
+				cur.Store(&c)
+				return c, nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.Internal(0, map[string]int{"a": 1})
+		sess.Internal(1, map[string]int{"b": 1})
+		if interrupt {
+			if err := sess.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(5 * time.Second); sess.Acked() < 1; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("first batch never acked")
+				}
+			}
+			(*cur.Load()).Close()
+		}
+		sess.Internal(1, map[string]int{"b": 2})
+		sess.Internal(0, map[string]int{"a": 2})         // the first EF fires here
+		sess.Internal(0, map[string]int{"b": 7, "a": 3}) // and the AG fails here
+		gb, err := sess.Close()
+		if err != nil {
+			t.Fatalf("close: %v (session err: %v)", err, sess.Err())
+		}
+		if gb.Events != 5 {
+			t.Fatalf("%d events applied, want 5", gb.Events)
+		}
+		if interrupt && sess.Stats().Reconnects < 1 {
+			t.Fatal("interrupted run never reconnected")
+		}
+		latched := sess.Latched()
+		for i := range latched {
+			latched[i].Session = ""
+		}
+		return latched
+	}
+	want, got := run(false), run(true)
+	if len(want) != 2 || want[0].Watch != 0 || want[0].Event != 4 || want[1].Watch != 1 || want[1].Event != 5 {
+		t.Fatalf("uninterrupted run latched %+v, want the EF at event 4 and the AG at event 5", want)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("interrupted run latched\n  %+v\nuninterrupted\n  %+v", got, want)
 	}
 }

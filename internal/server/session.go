@@ -12,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/online"
 	"repro/internal/pir"
+	"repro/internal/predicate"
 )
 
 // Ingest errors.
@@ -54,7 +55,7 @@ type SessionConfig struct {
 type watchState struct {
 	op     string
 	pred   string
-	locals []online.LocalSpec
+	locals []predicate.VarCmp
 	ef     *online.EFWatch
 	ag     *online.AGWatch
 	st     *online.StableWatch
@@ -77,7 +78,7 @@ func buildWatches(n int, watches []Watch) ([]*watchState, error) {
 		}
 		for _, l := range locals {
 			if l.Proc < 0 || l.Proc >= n {
-				return nil, fmt.Errorf("server: watch %d: conjunct %s on process outside [1,%d]", i, l.Name, n)
+				return nil, fmt.Errorf("server: watch %d: conjunct %s on process outside [1,%d]", i, l, n)
 			}
 		}
 		ws = append(ws, &watchState{op: w.Op, pred: w.Pred, locals: locals})
@@ -135,13 +136,13 @@ type Session struct {
 	// Owned by the monitor loop.
 	mon        *online.Monitor
 	watches    []*watchState
-	curSpan    *obs.Span      // the frame span being applied (verdict spans parent here)
-	registered bool           // watches registered (deferred until the first event)
-	msgIDs     map[int]int    // wire msg id → monitor msg id
-	row        pir.Batch      // the one-row batch a single init/event frame applies as (reused)
-	scratch    map[string]int // reused per batched event (the monitor copies sets)
-	seen       int            // events applied
-	retained   int64          // last Retained() published to the gauge
+	curSpan    *obs.Span   // the frame span being applied (verdict spans parent here)
+	registered bool        // watches registered (deferred until the first event)
+	msgIDs     map[int]int // wire msg id → monitor msg id
+	row        pir.Batch   // the one-row batch a single init/event frame applies as (reused)
+	seen       int         // events applied
+	retained   int64       // last Retained() published to the gauge
+	latched    int         // mon.Latched() at the last watch scan
 
 	mu      sync.Mutex
 	att     *attachment   // attached transport (TCP writer), nil for HTTP/detached sessions
@@ -689,7 +690,7 @@ func (s *Session) ensureWatches() {
 					return false
 				}
 				for _, l := range locals {
-					if !l.HoldsNow(m) {
+					if !l.Op.Holds(m.Value(l.Proc, l.Var), l.K) {
 						return false
 					}
 				}
@@ -787,23 +788,23 @@ func (s *Session) handleBatch(f inFrame) int64 {
 			continue
 		}
 		s.ensureWatches()
-		sets := s.scratchSets(b.Sets[lo:hi])
+		sets := b.Sets[lo:hi] // the monitor applies the row in order and keeps no reference
 		switch kind {
 		case pir.EvInternal:
-			s.mon.Internal(proc, sets)
+			s.mon.InternalRow(proc, sets)
 		case pir.EvSend:
 			if _, dup := s.msgIDs[b.Msg(i)]; dup {
 				s.reject(f, fmt.Sprintf("message %d sent twice", b.Msg(i)))
 				continue
 			}
-			s.msgIDs[b.Msg(i)] = s.mon.Send(proc, sets)
+			s.msgIDs[b.Msg(i)] = s.mon.SendRow(proc, sets)
 		case pir.EvReceive:
 			id, ok := s.msgIDs[b.Msg(i)]
 			if !ok {
 				s.reject(f, fmt.Sprintf(errUnknownMsg, b.Msg(i)))
 				continue
 			}
-			if err := s.mon.Receive(proc, id, sets); err != nil {
+			if err := s.mon.ReceiveRow(proc, id, sets); err != nil {
 				s.reject(f, err.Error())
 				continue
 			}
@@ -823,24 +824,6 @@ func (s *Session) handleBatch(f inFrame) int64 {
 		s.srv.met.ingestDur.Observe(lat.Seconds())
 	}
 	return applied
-}
-
-// scratchSets materializes one batched event's assignments as a map for
-// the monitor, reusing one allocation for the session's lifetime — the
-// monitor copies what it keeps.
-func (s *Session) scratchSets(sets []pir.VarSet) map[string]int {
-	if len(sets) == 0 {
-		return nil
-	}
-	if s.scratch == nil {
-		s.scratch = make(map[string]int, 8)
-	} else {
-		clear(s.scratch)
-	}
-	for _, vs := range sets {
-		s.scratch[vs.Name] = vs.Val
-	}
-	return s.scratch
 }
 
 func (s *Session) handleSnapshot(f inFrame) {
@@ -892,31 +875,38 @@ func (s *Session) publishRetained() {
 // checkWatches emits a verdict frame for every watch that latched since
 // the last check. Called after each applied event, so Event on the frame
 // is the exact determining prefix: the verdict did not hold after
-// Event-1 events and holds after Event.
+// Event-1 events and holds after Event. The monitor's latch count says
+// whether anything latched at all; only when it moved are the watches
+// scanned, in ascending index, which fixes the order (and Idx) of frames
+// for watches that latch on the same event.
 func (s *Session) checkWatches() {
 	s.publishRetained()
+	latched := s.mon.Latched()
+	if latched == s.latched {
+		return
+	}
+	s.latched = latched
 	for i, w := range s.watches {
 		if w.done {
 			continue
 		}
-		fr := ServerFrame{Type: FrameVerdict, Session: s.id, Watch: i, Op: w.op, Pred: w.pred, Event: s.seen}
+		var cut []int
+		conjunct, event := "", s.seen
 		switch {
 		case w.ef != nil && w.ef.Fired():
-			w.done = true
 			s.srv.met.efFired.Inc()
-			fr.Cut = w.ef.Cut()
+			cut = w.ef.Cut()
 		case w.ag != nil && w.ag.Violated():
-			w.done = true
 			s.srv.met.agViolated.Inc()
-			cut, conjunct := w.ag.Counterexample()
-			fr.Cut, fr.Conjunct = cut, conjunct
+			cut, conjunct = w.ag.Counterexample()
 		case w.st != nil && w.st.Fired():
-			w.done = true
 			s.srv.met.stableFired.Inc()
-			fr.Event = w.st.FiredAt()
+			event = w.st.FiredAt()
 		default:
 			continue
 		}
+		w.done = true
+		fr := ServerFrame{Type: FrameVerdict, Session: s.id, Watch: i, Op: w.op, Pred: w.pred, Event: event, Cut: cut, Conjunct: conjunct}
 		verdictStart := time.Now()
 		vs := s.curSpan.StartChild("verdict")
 		vs.Set("service", "monitor").Set("watch", i).Set("op", w.op).Set("event", s.seen)

@@ -32,9 +32,10 @@ type Online struct {
 	// last fixed point. Only heads on the worklist need re-comparing, so
 	// elimination continues in place instead of restarting the full
 	// pairwise scan after every push.
-	dirty   []int
-	inDirty []bool // indexed by process
-	cmps    int    // head comparisons performed (cost instrumentation)
+	dirty    []int
+	inDirty  []bool // indexed by process
+	cmps     int    // head comparisons performed (cost instrumentation)
+	retained int    // candidates queued across all processes
 
 	fired bool
 	cut   computation.Cut
@@ -74,13 +75,7 @@ func (o *Online) Cut() computation.Cut { return o.cut }
 // Retained returns the number of candidate local states currently queued
 // — the events' worth of state the cursor holds. This is the O(slice)
 // bound: everything else about the observed prefix has been discarded.
-func (o *Online) Retained() int {
-	total := 0
-	for _, q := range o.queues {
-		total += len(q)
-	}
-	return total
-}
+func (o *Online) Retained() int { return o.retained }
 
 // Comparisons returns the head comparisons performed so far.
 func (o *Online) Comparisons() int { return o.cmps }
@@ -100,6 +95,7 @@ func (o *Online) Offer(proc, state int, start vclock.VC) {
 		return
 	}
 	o.queues[proc] = append(o.queues[proc], Candidate{State: state, Start: start})
+	o.retained++
 	if len(o.queues[proc]) == 1 {
 		o.markDirty(proc)
 	}
@@ -150,11 +146,13 @@ func (o *Online) Step() {
 				o.cmps++
 				if hj.Start != nil && hj.Start[i] >= hi.State+1 {
 					o.queues[i] = o.queues[i][1:]
+					o.retained--
 					dead = true
 					break
 				}
 				if hi.Start != nil && hi.Start[j] >= hj.State+1 {
 					o.queues[j] = o.queues[j][1:]
+					o.retained--
 					o.markDirty(j)
 					continue // j's next head against the same hi
 				}
@@ -194,6 +192,6 @@ func (o *Online) Step() {
 	o.cut = cut
 	// The verdict latches; the candidates have served their purpose, so a
 	// fired cursor retains nothing.
-	o.queues = nil
+	o.queues, o.retained = nil, 0
 	o.dirty, o.inDirty = nil, nil
 }
