@@ -226,42 +226,34 @@ func durabilityIngest(comp *computation.Computation, pred, mode string, outage, 
 			}
 		}
 	}
-	seq := comp.SomeLinearization()
-	for s := 1; s < len(seq); s++ {
-		prev, cur := seq[s-1], seq[s]
-		for p := range cur {
-			if cur[p] <= prev[p] {
-				continue
-			}
-			e := comp.Event(p, cur[p])
-			switch e.Kind {
-			case computation.Internal:
-				sess.Internal(p, e.Sets)
-			case computation.Send:
-				sess.SendMsg(p, e.Msg, e.Sets)
-			case computation.Receive:
-				sess.Receive(p, e.Msg, e.Sets)
-			}
-			if streamed++; streamed == faultAt {
-				switch {
-				case outage:
-					replicaKL.Kill()
-					time.AfterFunc(60*time.Millisecond, replicaKL.Restart)
-				case drain:
-					// The handoff needs a live replica link holding the
-					// full log; at full ingest speed the first link dial
-					// may still be in flight, so wait it out.
-					waitLinksUp(ownerNode)
-					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-					t0 := time.Now()
-					if err := ownerNode.Drain(ctx); err != nil {
-						panic(fmt.Sprintf("drain: %v", err))
-					}
-					handoff = time.Since(t0)
-					cancel()
+	for _, e := range comp.Linearization() {
+		p, sets := e.Proc, setsOf(comp, e)
+		switch e.Kind {
+		case computation.Internal:
+			sess.Internal(p, sets)
+		case computation.Send:
+			sess.SendMsg(p, e.Msg, sets)
+		case computation.Receive:
+			sess.Receive(p, e.Msg, sets)
+		}
+		if streamed++; streamed == faultAt {
+			switch {
+			case outage:
+				replicaKL.Kill()
+				time.AfterFunc(60*time.Millisecond, replicaKL.Restart)
+			case drain:
+				// The handoff needs a live replica link holding the
+				// full log; at full ingest speed the first link dial
+				// may still be in flight, so wait it out.
+				waitLinksUp(ownerNode)
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				t0 := time.Now()
+				if err := ownerNode.Drain(ctx); err != nil {
+					panic(fmt.Sprintf("drain: %v", err))
 				}
+				handoff = time.Since(t0)
+				cancel()
 			}
-			break
 		}
 	}
 	if _, err := sess.Snapshot("EF(" + pred + ")"); err != nil { // barrier: all applied
@@ -361,30 +353,22 @@ func clusterIngest(comp *computation.Computation, pred string, n int, failover b
 			}
 		}
 	}
-	seq := comp.SomeLinearization()
-	for s := 1; s < len(seq); s++ {
-		prev, cur := seq[s-1], seq[s]
-		for p := range cur {
-			if cur[p] <= prev[p] {
-				continue
-			}
-			e := comp.Event(p, cur[p])
-			switch e.Kind {
-			case computation.Internal:
-				sess.Internal(p, e.Sets)
-			case computation.Send:
-				sess.SendMsg(p, e.Msg, e.Sets)
-			case computation.Receive:
-				sess.Receive(p, e.Msg, e.Sets)
-			}
-			if streamed++; streamed == killAt {
-				for i, id := range ids {
-					if id == owner {
-						kls[i].Kill()
-					}
+	for _, e := range comp.Linearization() {
+		p, sets := e.Proc, setsOf(comp, e)
+		switch e.Kind {
+		case computation.Internal:
+			sess.Internal(p, sets)
+		case computation.Send:
+			sess.SendMsg(p, e.Msg, sets)
+		case computation.Receive:
+			sess.Receive(p, e.Msg, sets)
+		}
+		if streamed++; streamed == killAt {
+			for i, id := range ids {
+				if id == owner {
+					kls[i].Kill()
 				}
 			}
-			break
 		}
 	}
 	if _, err := sess.Snapshot("EF(" + pred + ")"); err != nil { // barrier: all applied

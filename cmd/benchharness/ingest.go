@@ -75,20 +75,20 @@ type wireEvent struct {
 	sets map[string]int
 }
 
+// setsOf returns e's assignments as the map the monitor and client take.
+func setsOf(comp *computation.Computation, e *computation.Event) map[string]int {
+	sets := make(map[string]int)
+	for _, a := range comp.AppendAssignments(nil, e) {
+		sets[a.Name] = a.Value
+	}
+	return sets
+}
+
 // flatten precomputes one linearization of comp as a flat replay list.
 func flatten(comp *computation.Computation) []wireEvent {
-	seq := comp.SomeLinearization()
 	feed := make([]wireEvent, 0, comp.TotalEvents())
-	for s := 1; s < len(seq); s++ {
-		prev, cur := seq[s-1], seq[s]
-		for p := range cur {
-			if cur[p] <= prev[p] {
-				continue
-			}
-			e := comp.Event(p, cur[p])
-			feed = append(feed, wireEvent{proc: p, kind: e.Kind, msg: e.Msg, sets: e.Sets})
-			break
-		}
+	for _, e := range comp.Linearization() {
+		feed = append(feed, wireEvent{proc: e.Proc, kind: e.Kind, msg: e.Msg, sets: setsOf(comp, e)})
 	}
 	return feed
 }

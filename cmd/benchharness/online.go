@@ -58,30 +58,22 @@ func runOnline() {
 
 func feedAll(comp *computation.Computation, m *online.Monitor, step func(seen int)) {
 	ids := make(map[int]int)
-	seq := comp.SomeLinearization()
 	seen := 0
-	for s := 1; s < len(seq); s++ {
-		prev, cur := seq[s-1], seq[s]
-		for p := range cur {
-			if cur[p] <= prev[p] {
-				continue
+	for _, e := range comp.Linearization() {
+		p, sets := e.Proc, setsOf(comp, e)
+		switch e.Kind {
+		case computation.Internal:
+			m.Internal(p, sets)
+		case computation.Send:
+			ids[e.Msg] = m.Send(p, sets)
+		case computation.Receive:
+			if err := m.Receive(p, ids[e.Msg], sets); err != nil {
+				panic(err)
 			}
-			e := comp.Event(p, cur[p])
-			switch e.Kind {
-			case computation.Internal:
-				m.Internal(p, e.Sets)
-			case computation.Send:
-				ids[e.Msg] = m.Send(p, e.Sets)
-			case computation.Receive:
-				if err := m.Receive(p, ids[e.Msg], e.Sets); err != nil {
-					panic(err)
-				}
-			}
-			seen++
-			if step != nil {
-				step(seen)
-			}
-			break
+		}
+		seen++
+		if step != nil {
+			step(seen)
 		}
 	}
 }

@@ -126,24 +126,16 @@ func streamComputation(comp *computation.Computation, sess *client.Session, send
 			}
 		}
 	}
-	seq := comp.SomeLinearization()
-	for s := 1; s < len(seq); s++ {
-		prev, cur := seq[s-1], seq[s]
-		for p := range cur {
-			if cur[p] <= prev[p] {
-				continue
-			}
-			e := comp.Event(p, cur[p])
-			*sendTimes = append(*sendTimes, time.Now())
-			switch e.Kind {
-			case computation.Internal:
-				sess.Internal(p, e.Sets)
-			case computation.Send:
-				sess.SendMsg(p, e.Msg, e.Sets)
-			case computation.Receive:
-				sess.Receive(p, e.Msg, e.Sets)
-			}
-			break
+	for _, e := range comp.Linearization() {
+		p, sets := e.Proc, setsOf(comp, e)
+		*sendTimes = append(*sendTimes, time.Now())
+		switch e.Kind {
+		case computation.Internal:
+			sess.Internal(p, sets)
+		case computation.Send:
+			sess.SendMsg(p, e.Msg, sets)
+		case computation.Receive:
+			sess.Receive(p, e.Msg, sets)
 		}
 	}
 }

@@ -16,14 +16,14 @@ func main() {
 	// (x = 2) — while P2 receives the request and acknowledges (y = 1).
 	b := repro.NewBuilder(2)
 	prepare := b.Internal(0)
-	setVar(prepare, "x", 1)
+	repro.Set(prepare, "x", 1)
 
 	_, req := b.Send(0)
 	recv := b.Receive(1, req)
-	setVar(recv, "y", 1)
+	repro.Set(recv, "y", 1)
 
 	commit := b.Internal(0)
-	setVar(commit, "x", 2)
+	repro.Set(commit, "x", 2)
 
 	comp, err := b.Build()
 	if err != nil {
@@ -53,12 +53,4 @@ func main() {
 			fmt.Printf("%38s counterexample %v\n", "", res.Counterexample)
 		}
 	}
-}
-
-// setVar attaches a variable assignment to an event.
-func setVar(e *repro.Event, name string, v int) {
-	if e.Sets == nil {
-		e.Sets = map[string]int{}
-	}
-	e.Sets[name] = v
 }

@@ -110,7 +110,6 @@ func RunMonitor(args []string, stdout, stderr io.Writer) int {
 
 	// Replay along a linearization, reporting watch transitions.
 	ids := make(map[int]int)
-	seq := comp.SomeLinearization()
 	seen := 0
 	violations := 0
 	report := func() {
@@ -140,7 +139,7 @@ func RunMonitor(args []string, stdout, stderr io.Writer) int {
 	defer stopSignals()
 	interrupted := false
 replay:
-	for s := 1; s < len(seq); s++ {
+	for _, e := range comp.Linearization() {
 		select {
 		case sg := <-sig:
 			fmt.Fprintf(stderr, "hbmon: %v, stopping after %d events\n", sg, seen)
@@ -149,29 +148,22 @@ replay:
 			break replay
 		default:
 		}
-		prev, cur := seq[s-1], seq[s]
-		for p := range cur {
-			if cur[p] <= prev[p] {
-				continue
+		p, sets := e.Proc, setsOf(comp, e)
+		switch e.Kind {
+		case computation.Internal:
+			m.Internal(p, sets)
+		case computation.Send:
+			ids[e.Msg] = m.Send(p, sets)
+		case computation.Receive:
+			if err := m.Receive(p, ids[e.Msg], sets); err != nil {
+				fmt.Fprintln(stderr, "hbmon:", err)
+				return 2
 			}
-			e := comp.Event(p, cur[p])
-			switch e.Kind {
-			case computation.Internal:
-				m.Internal(p, e.Sets)
-			case computation.Send:
-				ids[e.Msg] = m.Send(p, e.Sets)
-			case computation.Receive:
-				if err := m.Receive(p, ids[e.Msg], e.Sets); err != nil {
-					fmt.Fprintln(stderr, "hbmon:", err)
-					return 2
-				}
-			}
-			seen++
-			report()
-			if *delay > 0 {
-				time.Sleep(*delay)
-			}
-			break
+		}
+		seen++
+		report()
+		if *delay > 0 {
+			time.Sleep(*delay)
 		}
 	}
 	endMsg := "end of trace"
@@ -232,4 +224,13 @@ func (m *multiFlag) String() string { return fmt.Sprint([]string(*m)) }
 func (m *multiFlag) Set(v string) error {
 	*m = append(*m, v)
 	return nil
+}
+
+// setsOf returns e's assignments as the map the monitor takes.
+func setsOf(comp *computation.Computation, e *computation.Event) map[string]int {
+	sets := make(map[string]int)
+	for _, a := range comp.AppendAssignments(nil, e) {
+		sets[a.Name] = a.Value
+	}
+	return sets
 }

@@ -1,8 +1,10 @@
 package computation
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/vclock"
 )
@@ -12,19 +14,42 @@ import (
 // attach labels and variable assignments fluently; Build validates and
 // freezes the result.
 //
+// Events are carved from slabs that are never reallocated, so every *Event
+// the builder returns stays valid and writable until Build, and is the
+// pointer Computation.Event returns afterwards. A process costs O(1) until
+// its first event or SetInitial; each event carries an n-wide clock.
+//
 // A Builder is not safe for concurrent use; callers recording from
 // multiple goroutines must serialize access (package dist does exactly
 // that).
 type Builder struct {
 	n       int
-	events  [][]*Event
-	clocks  []vclock.VC // running clock per process
-	initial []map[string]int
-	nextMsg int
-	sends   map[int]*Event
-	recvs   map[int]*Event
+	events  [][]*Event       // events[i][k] is event (i, k+1)
+	initial []map[string]int // nil until process i's first SetInitial
+	sets    [][]assign       // per process, in Set order
+	names   []string         // variable id → name
+	ids     map[string]int32 // name → variable id
+	sends   []*Event         // sends[id-1] is the send of message id
+	recvs   []*Event         // recvs[id-1] is its receive, or nil
+	slab    []Event          // unused tail of the current event slab
+	arena   []int            // unused tail of the current clock chunk
+	total   int              // events added
 	err     error
+	built   bool
 }
+
+// assign records that event k of a process set variable name to val.
+type assign struct {
+	k, name int32
+	val     int
+}
+
+func byEvent(x, y assign) int { return cmp.Compare(x.k, y.k) }
+
+const (
+	slabMax   = 512     // events per slab once the builder has grown
+	arenaInts = 1 << 16 // clock ints per chunk, unless one clock is wider
+)
 
 // Msg is an opaque handle for a message created by Send and consumed by
 // Receive.
@@ -36,61 +61,91 @@ func NewBuilder(n int) *Builder {
 	if n <= 0 {
 		panic("computation: builder needs at least one process")
 	}
-	b := &Builder{
+	return &Builder{
 		n:       n,
 		events:  make([][]*Event, n),
-		clocks:  make([]vclock.VC, n),
 		initial: make([]map[string]int, n),
-		sends:   make(map[int]*Event),
-		recvs:   make(map[int]*Event),
+		sets:    make([][]assign, n),
 	}
-	for i := 0; i < n; i++ {
-		b.clocks[i] = vclock.New(n)
-		b.initial[i] = make(map[string]int)
-	}
-	return b
 }
 
 // SetInitial assigns the initial value of a variable on process i (local
 // state 0). Variables not set initially default to 0 once first assigned.
 func (b *Builder) SetInitial(i int, name string, value int) *Builder {
 	b.checkProc(i)
+	if b.initial[i] == nil {
+		b.initial[i] = make(map[string]int)
+	}
 	b.initial[i][name] = value
+	b.intern(name)
 	return b
 }
 
 func (b *Builder) checkProc(i int) {
+	if b.built {
+		panic("computation: builder used after Build")
+	}
 	if i < 0 || i >= b.n {
 		panic(fmt.Sprintf("computation: process %d out of range [0,%d)", i, b.n))
 	}
 }
 
-func (b *Builder) addEvent(i int, kind Kind, msg int) *Event {
-	b.checkProc(i)
-	b.clocks[i].Tick(i)
-	e := &Event{
-		Proc:  i,
-		Index: len(b.events[i]) + 1,
-		Kind:  kind,
-		Msg:   msg,
-		Clock: b.clocks[i].Copy(),
+func (b *Builder) intern(name string) int32 {
+	id, ok := b.ids[name]
+	if !ok {
+		if b.ids == nil {
+			b.ids = make(map[string]int32)
+		}
+		id = int32(len(b.names))
+		b.names = append(b.names, name)
+		b.ids[name] = id
 	}
-	b.events[i] = append(b.events[i], e)
+	return id
+}
+
+// addEvent appends an event to process i. Its clock starts as the clock
+// of i's previous event, absorbs from (the send's clock, for a receive)
+// and ticks i.
+func (b *Builder) addEvent(i int, kind Kind, msg int, from vclock.VC) *Event {
+	b.checkProc(i)
+	chunk := min(max(b.total, 16), slabMax)
+	if len(b.slab) == 0 {
+		b.slab = make([]Event, chunk)
+	}
+	if len(b.arena) < b.n {
+		b.arena = make([]int, max(b.n, min(chunk*b.n, arenaInts)))
+	}
+	e := &b.slab[0]
+	b.slab = b.slab[1:]
+	clock := vclock.VC(b.arena[:b.n:b.n])
+	b.arena = b.arena[b.n:]
+	evs := b.events[i]
+	if len(evs) > 0 {
+		copy(clock, evs[len(evs)-1].Clock)
+	}
+	if from != nil {
+		clock.MergeInto(from)
+	}
+	clock.Tick(i)
+	*e = Event{Proc: i, Index: len(evs) + 1, Kind: kind, Msg: msg, Clock: clock, b: b}
+	b.events[i] = append(evs, e)
+	b.total++
 	return e
 }
 
 // Internal appends an internal event on process i.
 func (b *Builder) Internal(i int) *Event {
-	return b.addEvent(i, Internal, 0)
+	return b.addEvent(i, Internal, 0, nil)
 }
 
 // Send appends a send event on process i and returns the event and a
-// message handle to pass to Receive.
+// message handle to pass to Receive. Messages are numbered 1, 2, … in
+// Send order.
 func (b *Builder) Send(i int) (*Event, Msg) {
-	b.nextMsg++
-	e := b.addEvent(i, Send, b.nextMsg)
-	b.sends[b.nextMsg] = e
-	return e, Msg{b.nextMsg}
+	e := b.addEvent(i, Send, len(b.sends)+1, nil)
+	b.sends = append(b.sends, e)
+	b.recvs = append(b.recvs, nil)
+	return e, Msg{e.Msg}
 }
 
 // Receive appends a receive event on process i consuming message m. The
@@ -99,20 +154,19 @@ func (b *Builder) Send(i int) (*Event, Msg) {
 // records an error reported by Build.
 func (b *Builder) Receive(i int, m Msg) *Event {
 	b.checkProc(i)
-	s, ok := b.sends[m.id]
-	if !ok {
+	if m.id < 1 || m.id > len(b.sends) {
 		b.fail(fmt.Errorf("receive of unknown message %d on process %d", m.id, i))
-		return b.addEvent(i, Receive, m.id)
+		return b.addEvent(i, Receive, m.id, nil)
 	}
-	if _, dup := b.recvs[m.id]; dup {
+	s := b.sends[m.id-1]
+	if b.recvs[m.id-1] != nil {
 		b.fail(fmt.Errorf("message %d received twice", m.id))
 	}
 	if s.Proc == i {
 		b.fail(fmt.Errorf("message %d received by its sender P%d", m.id, i+1))
 	}
-	b.clocks[i].MergeInto(s.Clock)
-	e := b.addEvent(i, Receive, m.id)
-	b.recvs[m.id] = e
+	e := b.addEvent(i, Receive, m.id, s.Clock)
+	b.recvs[m.id-1] = e
 	return e
 }
 
@@ -128,60 +182,117 @@ func WithLabel(e *Event, label string) *Event {
 	return e
 }
 
-// Set records a variable assignment performed by event e and returns e.
+// Set records a variable assignment performed by event e and returns e;
+// of several assignments of one name by one event, the last wins. e must
+// come from a Builder that has not been built yet: Set panics otherwise.
+// Set records into that Builder, so it is serialized like its methods.
 func Set(e *Event, name string, value int) *Event {
-	if e.Sets == nil {
-		e.Sets = make(map[string]int)
+	b := e.b
+	if b == nil || b.built {
+		panic("computation: Set on an event of a built computation")
 	}
-	e.Sets[name] = value
+	b.sets[e.Proc] = append(b.sets[e.Proc], assign{k: int32(e.Index), name: b.intern(name), val: value})
 	return e
 }
 
 // Build validates the accumulated events and returns the immutable
-// computation.
+// computation. The builder cannot be used afterwards.
 func (b *Builder) Build() (*Computation, error) {
 	if b.err != nil {
 		return nil, fmt.Errorf("computation: %w", b.err)
 	}
-	comp := &Computation{
+	if b.built {
+		panic("computation: builder used after Build")
+	}
+	c := &Computation{
 		events:     b.events,
-		initial:    b.initial,
-		sends:      b.sends,
-		recvs:      b.recvs,
 		vals:       make([]map[string][]int, b.n),
 		varsByProc: make([][]string, b.n),
+		flow:       make([][]int32, b.n),
+		sets:       b.sets,
+		names:      b.names,
+		sends:      b.sends,
+		recvs:      b.recvs,
 	}
-	// Materialize per-state valuations so Value is O(1).
-	for i := 0; i < b.n; i++ {
-		names := make(map[string]bool)
-		for name := range b.initial[i] {
-			names[name] = true
-		}
-		for _, e := range b.events[i] {
-			for name := range e.Sets {
-				names[name] = true
-			}
-		}
-		cols := make(map[string][]int, len(names))
-		sorted := make([]string, 0, len(names))
-		for name := range names {
-			sorted = append(sorted, name)
-			col := make([]int, len(b.events[i])+1)
-			col[0] = b.initial[i][name]
-			for k, e := range b.events[i] {
-				if v, ok := e.Sets[name]; ok {
-					col[k+1] = v
-				} else {
-					col[k+1] = col[k]
-				}
-			}
-			cols[name] = col
-		}
-		sort.Strings(sorted)
-		comp.vals[i] = cols
-		comp.varsByProc[i] = sorted
+	col := make([]int32, len(b.names))
+	for id := range col {
+		col[id] = -1
 	}
-	return comp, nil
+	for i := range b.n {
+		b.fill(c, i, col)
+	}
+	// The events keep pointing here, so let go of everything else.
+	*b = Builder{built: true}
+	return c, nil
+}
+
+// fill materializes process i's message flow and valuation columns so
+// that InFlight is O(n) and Value O(1). col maps a variable id to its
+// column on i and is all -1 between calls.
+func (b *Builder) fill(c *Computation, i int, col []int32) {
+	evs, recs, init := b.events[i], b.sets[i], b.initial[i]
+	if len(evs) > 0 {
+		flow := make([]int32, len(evs))
+		var f int32
+		for k, e := range evs {
+			switch e.Kind {
+			case Send:
+				f++
+			case Receive:
+				f--
+			}
+			flow[k] = f
+		}
+		c.flow[i] = flow
+	}
+	if len(recs) == 0 && len(init) == 0 {
+		return // no variables: Vars and Value see nil
+	}
+	if !slices.IsSortedFunc(recs, byEvent) {
+		slices.SortStableFunc(recs, byEvent)
+	}
+	var ids []int32
+	for _, r := range recs {
+		if col[r.name] < 0 {
+			col[r.name] = 0
+			ids = append(ids, r.name)
+		}
+	}
+	for name := range init {
+		if id := b.ids[name]; col[id] < 0 {
+			col[id] = 0
+			ids = append(ids, id)
+		}
+	}
+	slices.SortFunc(ids, func(x, y int32) int { return strings.Compare(b.names[x], b.names[y]) })
+
+	width := len(evs) + 1
+	buf := make([]int, len(ids)*width)
+	vars := make([]string, len(ids))
+	cols := make(map[string][]int, len(ids))
+	for j, id := range ids {
+		col[id] = int32(j)
+		vars[j] = b.names[id]
+		cj := buf[j*width : (j+1)*width : (j+1)*width]
+		cj[0] = init[vars[j]]
+		cols[vars[j]] = cj
+	}
+	// One forward pass over the states: each carries the previous state's
+	// values, then the records of the event that reached it override them.
+	r := 0
+	for k := 1; k < width; k++ {
+		for j := range ids {
+			buf[j*width+k] = buf[j*width+k-1]
+		}
+		for ; r < len(recs) && int(recs[r].k) == k; r++ {
+			buf[int(col[recs[r].name])*width+k] = recs[r].val
+		}
+	}
+	for _, id := range ids {
+		col[id] = -1
+	}
+	c.vals[i] = cols
+	c.varsByProc[i] = vars
 }
 
 // MustBuild is Build that panics on error, for tests and fixed fixtures.

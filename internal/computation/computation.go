@@ -1,8 +1,9 @@
 package computation
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Computation is an immutable happened-before model (E, →) of a single
@@ -14,11 +15,13 @@ import (
 // process i in local state c[i].
 type Computation struct {
 	events     [][]*Event         // events[i][k] is event (i, k+1)
-	initial    []map[string]int   // initial valuation per process
 	vals       []map[string][]int // vals[i][name][k] = value of name in state k of process i
 	varsByProc [][]string         // sorted variable names known to each process
-	sends      map[int]*Event     // message id → send event
-	recvs      map[int]*Event     // message id → receive event
+	flow       [][]int32          // flow[i][k-1] = sends minus receives among i's first k events
+	sets       [][]assign         // assignment records per process, by event index
+	names      []string           // assign.name → variable name
+	sends      []*Event           // sends[id-1] is the send of message id (nil outside a prefix)
+	recvs      []*Event           // recvs[id-1] is its receive, nil if not received
 }
 
 // N returns the number of processes.
@@ -50,19 +53,35 @@ func (c *Computation) Events(i int) []*Event { return c.events[i] }
 // ascending order.
 func (c *Computation) Messages() []int {
 	ids := make([]int, 0, len(c.sends))
-	for id := range c.sends {
-		ids = append(ids, id)
+	for j, s := range c.sends {
+		if s != nil {
+			ids = append(ids, j+1)
+		}
 	}
-	sort.Ints(ids)
 	return ids
 }
 
+// MaxMsg bounds the message ids: every id is in 1..MaxMsg, and ids of a
+// prefix whose send it does not contain have a nil SendOf. Scanning ids in
+// that range visits messages in ascending order without allocating.
+func (c *Computation) MaxMsg() int { return len(c.sends) }
+
 // SendOf returns the send event of message id, or nil.
-func (c *Computation) SendOf(id int) *Event { return c.sends[id] }
+func (c *Computation) SendOf(id int) *Event {
+	if id < 1 || id > len(c.sends) {
+		return nil
+	}
+	return c.sends[id-1]
+}
 
 // RecvOf returns the receive event of message id, or nil if the message is
 // never received.
-func (c *Computation) RecvOf(id int) *Event { return c.recvs[id] }
+func (c *Computation) RecvOf(id int) *Event {
+	if id < 1 || id > len(c.recvs) {
+		return nil
+	}
+	return c.recvs[id-1]
+}
 
 // HappenedBefore reports e → f (strict).
 func (c *Computation) HappenedBefore(e, f *Event) bool {
@@ -89,6 +108,33 @@ func (c *Computation) Value(i, k int, name string) (int, bool) {
 
 // Vars returns the sorted variable names defined on process i.
 func (c *Computation) Vars(i int) []string { return c.varsByProc[i] }
+
+// AppendAssignments appends the variable assignments event e performed to
+// dst, in name order and one per variable (the last Set of a name wins),
+// and returns the extended slice. It is for the cold readers — encoding,
+// rendering, replay; detection reads Value.
+func (c *Computation) AppendAssignments(dst []Assignment, e *Event) []Assignment {
+	recs := c.sets[e.Proc]
+	k := int32(e.Index)
+	lo, _ := slices.BinarySearchFunc(recs, k, func(r assign, k int32) int { return cmp.Compare(r.k, k) })
+	start := len(dst)
+	for _, r := range recs[lo:] {
+		if r.k != k {
+			break
+		}
+		a := Assignment{Name: c.names[r.name], Value: r.val}
+		j := start
+		for j < len(dst) && dst[j].Name < a.Name {
+			j++
+		}
+		if j < len(dst) && dst[j].Name == a.Name {
+			dst[j].Value = a.Value
+			continue
+		}
+		dst = slices.Insert(dst, j, a)
+	}
+	return dst
+}
 
 // InitialCut returns ∅, the empty cut.
 func (c *Computation) InitialCut() Cut { return NewCut(c.N()) }
@@ -274,23 +320,23 @@ func (comp *Computation) CompatibleStates(i, k, j, kp int) bool {
 	return true
 }
 
-// InFlight returns the number of messages sent but not yet received at cut
-// c (messages never received count while their send is included).
+// InFlight returns the number of messages sent but not yet received at the
+// consistent cut c (messages never received count while their send is
+// included). It is O(n): a consistent cut contains the send of every
+// receive it contains, so the count is the sum over processes of sends
+// minus receives among their included events.
 func (comp *Computation) InFlight(c Cut) int {
 	n := 0
-	for id, s := range comp.sends {
-		if c[s.Proc] < s.Index {
-			continue
-		}
-		r := comp.recvs[id]
-		if r == nil || c[r.Proc] < r.Index {
-			n++
+	for i, k := range c {
+		if k > 0 {
+			n += int(comp.flow[i][k-1])
 		}
 	}
 	return n
 }
 
-// ChannelsEmpty reports that no message is in flight at cut c.
+// ChannelsEmpty reports that no message is in flight at the consistent cut
+// c, in O(n).
 func (comp *Computation) ChannelsEmpty(c Cut) bool { return comp.InFlight(c) == 0 }
 
 // Prefix returns the sub-computation containing exactly the events of the
@@ -303,14 +349,17 @@ func (comp *Computation) Prefix(c Cut) *Computation {
 	}
 	sub := &Computation{
 		events:     make([][]*Event, comp.N()),
-		initial:    comp.initial,
 		vals:       make([]map[string][]int, comp.N()),
 		varsByProc: comp.varsByProc,
-		sends:      make(map[int]*Event),
-		recvs:      make(map[int]*Event),
+		flow:       make([][]int32, comp.N()),
+		sets:       comp.sets,
+		names:      comp.names,
+		sends:      make([]*Event, len(comp.sends)),
+		recvs:      make([]*Event, len(comp.recvs)),
 	}
 	for i, k := range c {
 		sub.events[i] = comp.events[i][:k]
+		sub.flow[i] = comp.flow[i][:k]
 		cols := make(map[string][]int, len(comp.vals[i]))
 		for name, col := range comp.vals[i] {
 			cols[name] = col[:k+1]
@@ -319,9 +368,9 @@ func (comp *Computation) Prefix(c Cut) *Computation {
 		for _, e := range sub.events[i] {
 			switch e.Kind {
 			case Send:
-				sub.sends[e.Msg] = e
+				sub.sends[e.Msg-1] = e
 			case Receive:
-				sub.recvs[e.Msg] = e
+				sub.recvs[e.Msg-1] = e
 			}
 		}
 	}
@@ -335,22 +384,42 @@ func (comp *Computation) Prefix(c Cut) *Computation {
 func (comp *Computation) SomeLinearization() []Cut {
 	cur := comp.InitialCut()
 	seq := []Cut{cur.Copy()}
-	total := comp.TotalEvents()
-	for s := 0; s < total; s++ {
-		advanced := false
-		for i := range cur {
-			if comp.EnabledEvent(cur, i) {
-				cur[i]++
-				seq = append(seq, cur.Copy())
-				advanced = true
-				break
-			}
+	for _, e := range comp.Linearization() {
+		cur[e.Proc]++
+		seq = append(seq, cur.Copy())
+	}
+	return seq
+}
+
+// Linearization returns the events in SomeLinearization's order — at each
+// step the enabled event of the lowest-numbered process — in O(|E|) words.
+// Along the walk the cut stays consistent, so a process's next event is
+// enabled exactly when it is not a receive or its send is already in.
+func (comp *Computation) Linearization() []*Event {
+	cur := make([]int, comp.N())
+	enabled := func(i int) bool {
+		if cur[i] == len(comp.events[i]) {
+			return false
 		}
-		if !advanced {
+		if e := comp.events[i][cur[i]]; e.Kind == Receive {
+			s := comp.SendOf(e.Msg)
+			return cur[s.Proc] >= s.Index
+		}
+		return true
+	}
+	out := make([]*Event, 0, comp.TotalEvents())
+	for len(out) < cap(out) {
+		i := 0
+		for i < len(cur) && !enabled(i) {
+			i++
+		}
+		if i == len(cur) {
 			// Cannot happen in a valid computation: some minimal event of
 			// the remainder is always enabled.
 			panic("computation: no enabled event before reaching the final cut")
 		}
+		out = append(out, comp.events[i][cur[i]])
+		cur[i]++
 	}
-	return seq
+	return out
 }

@@ -6,6 +6,11 @@
 //
 // A computation is immutable once built. Use Builder to construct one, or
 // the trace package to load one from disk.
+//
+// Storage is flat: events come from fixed-size slabs and their clocks
+// from a chunked int arena, so building allocates per chunk rather than per
+// event; variable assignments are per-process (event, variable, value)
+// records, from which Build fills each valuation column in one pass.
 package computation
 
 import (
@@ -59,9 +64,18 @@ type Event struct {
 	// Label is an optional human-readable name such as "e1" used when
 	// reproducing the paper's figures.
 	Label string
-	// Sets holds the variable assignments performed by this event; the
-	// resulting local state is the previous state overridden by Sets.
-	Sets map[string]int
+
+	// b is the builder that created the event, which records the event's
+	// variable assignments (Set) until Build.
+	b *Builder
+}
+
+// Assignment is one variable assignment performed by an event; the local
+// state after the event is the previous one overridden by its assignments.
+// Record them with Set, read them back with Computation.AppendAssignments.
+type Assignment struct {
+	Name  string
+	Value int
 }
 
 // String renders the event compactly, preferring its label when present.

@@ -192,8 +192,8 @@ func Apply(comp *computation.Computation, syncs []Sync) (*computation.Computatio
 					ne = b.Receive(i, m)
 				}
 				ne.Label = e.Label
-				for name, v := range e.Sets {
-					computation.Set(ne, name, v)
+				for _, a := range comp.AppendAssignments(nil, e) {
+					computation.Set(ne, a.Name, a.Value)
 				}
 			}
 			ptr[i]++

@@ -13,7 +13,6 @@ package debugger
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -219,15 +218,10 @@ func (s *Session) showEvents(args []string) {
 				mark = "*"
 			}
 			extra := ""
-			if len(e.Sets) > 0 {
-				keys := make([]string, 0, len(e.Sets))
-				for k := range e.Sets {
-					keys = append(keys, k)
-				}
-				sort.Strings(keys)
-				parts := make([]string, len(keys))
-				for j, k := range keys {
-					parts[j] = fmt.Sprintf("%s=%d", k, e.Sets[k])
+			if sets := s.comp.AppendAssignments(nil, e); len(sets) > 0 {
+				parts := make([]string, len(sets))
+				for j, a := range sets {
+					parts[j] = fmt.Sprintf("%s=%d", a.Name, a.Value)
 				}
 				extra = " {" + strings.Join(parts, " ") + "}"
 			}

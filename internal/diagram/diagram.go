@@ -6,7 +6,6 @@ package diagram
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/computation"
@@ -80,17 +79,14 @@ func cell(comp *computation.Computation, e *computation.Event, opts Options, wid
 			label = "o"
 		}
 	}
-	if opts.ShowVars && len(e.Sets) > 0 {
-		keys := make([]string, 0, len(e.Sets))
-		for k := range e.Sets {
-			keys = append(keys, k)
+	if opts.ShowVars {
+		if sets := comp.AppendAssignments(nil, e); len(sets) > 0 {
+			parts := make([]string, len(sets))
+			for i, a := range sets {
+				parts[i] = fmt.Sprintf("%s=%d", a.Name, a.Value)
+			}
+			label += "{" + strings.Join(parts, ",") + "}"
 		}
-		sort.Strings(keys)
-		parts := make([]string, len(keys))
-		for i, k := range keys {
-			parts[i] = fmt.Sprintf("%s=%d", k, e.Sets[k])
-		}
-		label += "{" + strings.Join(parts, ",") + "}"
 	}
 	inCut := opts.Cut != nil && opts.Cut[e.Proc] >= e.Index
 	if inCut {

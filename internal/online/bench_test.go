@@ -133,13 +133,14 @@ func feed(tb testing.TB, comp *computation.Computation, m *Monitor) {
 				continue
 			}
 			e := comp.Event(p, cur[p])
+			sets := setsOf(comp, e)
 			switch e.Kind {
 			case computation.Internal:
-				m.Internal(p, e.Sets)
+				m.Internal(p, sets)
 			case computation.Send:
-				ids[e.Msg] = m.Send(p, e.Sets)
+				ids[e.Msg] = m.Send(p, sets)
 			case computation.Receive:
-				if err := m.Receive(p, ids[e.Msg], e.Sets); err != nil {
+				if err := m.Receive(p, ids[e.Msg], sets); err != nil {
 					tb.Fatal(err)
 				}
 			}

@@ -32,17 +32,18 @@ func replay(t *testing.T, comp *computation.Computation, m *Monitor, step func(e
 				continue
 			}
 			e := comp.Event(p, cur[p])
+			sets := setsOf(comp, e)
 			switch e.Kind {
 			case computation.Internal:
-				m.Internal(p, e.Sets)
+				m.Internal(p, sets)
 			case computation.Send:
 				// Monitor assigns its own ids in send order; since we
 				// replay in a single linearization, ids match arrival
 				// order, which the test tracks via a map.
-				id := m.Send(p, e.Sets)
+				id := m.Send(p, sets)
 				msgIDs[e.Msg] = id
 			case computation.Receive:
-				if err := m.Receive(p, msgIDs[e.Msg], e.Sets); err != nil {
+				if err := m.Receive(p, msgIDs[e.Msg], sets); err != nil {
 					t.Fatalf("receive: %v", err)
 				}
 			}
@@ -395,4 +396,13 @@ func ExampleMonitor() {
 	// Output:
 	// false
 	// true <1 1>
+}
+
+// setsOf returns e's assignments as the map the monitor takes.
+func setsOf(comp *computation.Computation, e *computation.Event) map[string]int {
+	sets := make(map[string]int)
+	for _, a := range comp.AppendAssignments(nil, e) {
+		sets[a.Name] = a.Value
+	}
+	return sets
 }

@@ -22,54 +22,48 @@ var (
 	_ PostLinear = ChannelEmpty{}
 )
 
-// inFlightIDs returns the ids of the From→To messages in flight at cut.
-func (p ChannelEmpty) inFlightIDs(c *computation.Computation, cut computation.Cut) []int {
-	var out []int
-	for _, id := range c.Messages() {
+// inFlight reports whether a From→To message is in flight at cut, and
+// whether one of those is received (by To) later, scanning message ids in
+// order without allocating.
+func (p ChannelEmpty) inFlight(c *computation.Computation, cut computation.Cut) (pending, received bool) {
+	for id := 1; id <= c.MaxMsg(); id++ {
 		s := c.SendOf(id)
-		if s.Proc != p.From || cut[s.Proc] < s.Index {
+		if s == nil || s.Proc != p.From || cut[s.Proc] < s.Index {
 			continue
 		}
-		r := c.RecvOf(id)
-		if r == nil {
-			out = append(out, id)
-			continue
-		}
-		if r.Proc != p.To {
-			continue
-		}
-		if cut[r.Proc] < r.Index {
-			out = append(out, id)
+		switch r := c.RecvOf(id); {
+		case r == nil:
+			pending = true
+		case r.Proc == p.To && cut[r.Proc] < r.Index:
+			return true, true
 		}
 	}
-	return out
+	return pending, false
 }
 
 // Eval implements Predicate.
 func (p ChannelEmpty) Eval(c *computation.Computation, cut computation.Cut) bool {
-	return len(p.inFlightIDs(c, cut)) == 0
+	pending, _ := p.inFlight(c, cut)
+	return !pending
 }
 
 // Forbidden implements Linear: the receiver must consume the pending
 // message; a message that is never received makes the predicate
 // unsatisfiable above the cut.
 func (p ChannelEmpty) Forbidden(c *computation.Computation, cut computation.Cut) (int, bool) {
-	ids := p.inFlightIDs(c, cut)
-	if len(ids) == 0 {
+	pending, received := p.inFlight(c, cut)
+	if !pending {
 		panic("predicate: Forbidden called with empty channel")
 	}
-	for _, id := range ids {
-		if r := c.RecvOf(id); r != nil {
-			return r.Proc, true
-		}
+	if received {
+		return p.To, true
 	}
 	return 0, false
 }
 
 // Retreat implements PostLinear: the sender must undo the send.
 func (p ChannelEmpty) Retreat(c *computation.Computation, cut computation.Cut) (int, bool) {
-	ids := p.inFlightIDs(c, cut)
-	if len(ids) == 0 {
+	if pending, _ := p.inFlight(c, cut); !pending {
 		panic("predicate: Retreat called with empty channel")
 	}
 	return p.From, true

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/computation"
+	"repro/internal/sim"
 )
 
 // threeProcChannels: P1 sends m1 to P2 and m2 to P3; P2 sends m3 to P3;
@@ -138,5 +139,86 @@ func TestAtLeastK(t *testing.T) {
 	}
 	if !strings.Contains(p2.String(), "atLeast(2") {
 		t.Errorf("String = %q", p2.String())
+	}
+}
+
+// refInFlight is the per-message definition the O(n) count replaced: the
+// ids whose send is in cut and whose receive is not, ascending.
+func refInFlight(c *computation.Computation, cut computation.Cut, keep func(s, r *computation.Event) bool) []int {
+	var ids []int
+	for _, id := range c.Messages() {
+		s, r := c.SendOf(id), c.RecvOf(id)
+		if cut[s.Proc] >= s.Index && (r == nil || cut[r.Proc] < r.Index) && keep(s, r) {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// TestChannelPredicatesMatchReference holds InFlight, ChannelsEmpty and
+// ChannelEmpty — Eval, Forbidden, Retreat — to the per-message scans they
+// replaced, on every consistent cut of small random computations.
+func TestChannelPredicatesMatchReference(t *testing.T) {
+	cfg := sim.RandomConfig{Procs: 3, Events: 10, SendProb: 0.5, RecvProb: 0.6, Vars: 1, ValRange: 2}
+	for seed := int64(0); seed < 40; seed++ {
+		c := sim.Random(cfg, seed)
+		seen := map[string]bool{}
+		queue := []computation.Cut{c.InitialCut()}
+		for len(queue) > 0 {
+			cut := queue[0]
+			queue = queue[1:]
+			if seen[cut.Key()] {
+				continue
+			}
+			seen[cut.Key()] = true
+			queue = append(queue, c.Successors(cut)...)
+
+			ids := refInFlight(c, cut, func(_, _ *computation.Event) bool { return true })
+			if got := c.InFlight(cut); got != len(ids) {
+				t.Fatalf("seed %d cut %v: InFlight = %d, want %d", seed, cut, got, len(ids))
+			}
+			checkLinear(t, c, cut, ChannelsEmpty{}, ids, seed)
+			for from := 0; from < c.N(); from++ {
+				for to := 0; to < c.N(); to++ {
+					p := ChannelEmpty{From: from, To: to}
+					ids := refInFlight(c, cut, func(s, r *computation.Event) bool {
+						return s.Proc == from && (r == nil || r.Proc == to)
+					})
+					checkLinear(t, c, cut, p, ids, seed)
+				}
+			}
+		}
+	}
+}
+
+// checkLinear compares p with the reference answers for in-flight ids:
+// Forbidden names the receiver of the first of them that is received at
+// all, Retreat the sender of the first.
+func checkLinear(t *testing.T, c *computation.Computation, cut computation.Cut, p interface {
+	Linear
+	PostLinear
+}, ids []int, seed int64) {
+	t.Helper()
+	if got := p.Eval(c, cut); got != (len(ids) == 0) {
+		t.Fatalf("seed %d %s at %v: Eval = %v with %v in flight", seed, p, cut, got, ids)
+	}
+	if len(ids) == 0 {
+		return
+	}
+	wantProc, wantOK := 0, false
+	for _, id := range ids {
+		if r := c.RecvOf(id); r != nil {
+			wantProc, wantOK = r.Proc, true
+			break
+		}
+		if _, global := p.(ChannelsEmpty); global {
+			break // only the lowest id counts
+		}
+	}
+	if proc, ok := p.Forbidden(c, cut); proc != wantProc || ok != wantOK {
+		t.Fatalf("seed %d %s at %v: Forbidden = %d, %v; want %d, %v", seed, p, cut, proc, ok, wantProc, wantOK)
+	}
+	if proc, ok := p.Retreat(c, cut); proc != c.SendOf(ids[0]).Proc || !ok {
+		t.Fatalf("seed %d %s at %v: Retreat = %d, %v; want %d", seed, p, cut, proc, ok, c.SendOf(ids[0]).Proc)
 	}
 }

@@ -394,45 +394,50 @@ var (
 	_ PostLinear = ChannelsEmpty{}
 )
 
-// Eval implements Predicate.
+// Eval implements Predicate in O(n); cut must be consistent, as it is for
+// every caller.
 func (ChannelsEmpty) Eval(c *computation.Computation, cut computation.Cut) bool {
 	return c.ChannelsEmpty(cut)
 }
 
-// Forbidden implements Linear: the receiver of an in-flight message must
-// advance past the pending receive; if the message is never received no
-// cut above can satisfy the predicate.
-func (ChannelsEmpty) Forbidden(c *computation.Computation, cut computation.Cut) (int, bool) {
-	for _, id := range c.Messages() {
+// firstInFlight returns the send and receive (nil if the message is never
+// received) of the lowest-id message in flight at cut, scanning ids in
+// order without allocating; s is nil when the channels are empty.
+func firstInFlight(c *computation.Computation, cut computation.Cut) (s, r *computation.Event) {
+	for id := 1; id <= c.MaxMsg(); id++ {
 		s := c.SendOf(id)
-		if cut[s.Proc] < s.Index {
+		if s == nil || cut[s.Proc] < s.Index {
 			continue // not yet sent
 		}
-		r := c.RecvOf(id)
-		if r == nil {
-			return 0, false // sent but never received: unsatisfiable above
-		}
-		if cut[r.Proc] < r.Index {
-			return r.Proc, true
+		if r := c.RecvOf(id); r == nil || cut[r.Proc] < r.Index {
+			return s, r
 		}
 	}
-	panic("predicate: Forbidden called with empty channels")
+	return nil, nil
 }
 
-// Retreat implements PostLinear: the sender of an in-flight message must
-// retreat to before the send.
-func (ChannelsEmpty) Retreat(c *computation.Computation, cut computation.Cut) (int, bool) {
-	for _, id := range c.Messages() {
-		s := c.SendOf(id)
-		if cut[s.Proc] < s.Index {
-			continue
-		}
-		r := c.RecvOf(id)
-		if r == nil || cut[r.Proc] < r.Index {
-			return s.Proc, true
-		}
+// Forbidden implements Linear: the receiver of the lowest in-flight
+// message must advance past the pending receive; if that message is never
+// received no cut above can satisfy the predicate.
+func (ChannelsEmpty) Forbidden(c *computation.Computation, cut computation.Cut) (int, bool) {
+	s, r := firstInFlight(c, cut)
+	if s == nil {
+		panic("predicate: Forbidden called with empty channels")
 	}
-	panic("predicate: Retreat called with empty channels")
+	if r == nil {
+		return 0, false // sent but never received: unsatisfiable above
+	}
+	return r.Proc, true
+}
+
+// Retreat implements PostLinear: the sender of the lowest in-flight
+// message must retreat to before the send.
+func (ChannelsEmpty) Retreat(c *computation.Computation, cut computation.Cut) (int, bool) {
+	s, _ := firstInFlight(c, cut)
+	if s == nil {
+		panic("predicate: Retreat called with empty channels")
+	}
+	return s.Proc, true
 }
 
 // String implements Predicate.

@@ -257,13 +257,14 @@ func TestDogfoodSpansRoundTrip(t *testing.T) {
 				continue
 			}
 			e := comp.Event(p, cur[p])
+			sets := setsOf(comp, e)
 			switch e.Kind {
 			case computation.Internal:
-				m.Internal(p, e.Sets)
+				m.Internal(p, sets)
 			case computation.Send:
-				ids[e.Msg] = m.Send(p, e.Sets)
+				ids[e.Msg] = m.Send(p, sets)
 			case computation.Receive:
-				if err := m.Receive(p, ids[e.Msg], e.Sets); err != nil {
+				if err := m.Receive(p, ids[e.Msg], sets); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -282,4 +283,13 @@ func TestDogfoodSpansRoundTrip(t *testing.T) {
 	if !offEF || !offOK || offBad {
 		t.Errorf("verdict pattern unexpected: EF=%v AG(ok)=%v AG(bad)=%v", offEF, offOK, offBad)
 	}
+}
+
+// setsOf returns e's assignments as the map the monitor takes.
+func setsOf(comp *computation.Computation, e *computation.Event) map[string]int {
+	sets := make(map[string]int)
+	for _, a := range comp.AppendAssignments(nil, e) {
+		sets[a.Name] = a.Value
+	}
+	return sets
 }

@@ -271,8 +271,10 @@ func TestFig4Invariants(t *testing.T) {
 		predicate.ChannelsEmpty{},
 		predicate.Conj(predicate.VarCmp{Proc: 0, Var: "x", Op: predicate.GT, K: 1}),
 	}}
-	if q.Eval(comp, computation.Cut{1, 1, 0}) {
-		t.Error("q must not hold before f2 (channel to g1 in flight)")
+	// x@P1 > 1 holds after e1, but f1's message to g1 is still in flight.
+	// (The cut must be consistent: e1 receives f2's message.)
+	if q.Eval(comp, computation.Cut{1, 2, 0}) {
+		t.Error("q must not hold before g1 (channel to g1 in flight)")
 	}
 	if !q.Eval(comp, computation.Cut{1, 2, 1}) {
 		t.Error("q must hold at I_q")

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,7 +13,9 @@ import (
 )
 
 // sameComputation compares two computations structurally: dimensions,
-// event kinds/labels, vector clocks, and all local-state valuations.
+// event kinds/labels, vector clocks, per-event assignments, all
+// local-state valuations, and which send each receive consumes (message
+// ids may differ: the format renumbers messages in its own event order).
 func sameComputation(t *testing.T, a, b *computation.Computation) {
 	t.Helper()
 	if a.N() != b.N() {
@@ -27,6 +32,9 @@ func sameComputation(t *testing.T, a, b *computation.Computation) {
 			}
 			if !ea.Clock.Equal(eb.Clock) {
 				t.Errorf("event (%d,%d) clocks differ: %v vs %v", i, k, ea.Clock, eb.Clock)
+			}
+			if sa, sb := a.AppendAssignments(nil, ea), b.AppendAssignments(nil, eb); !slices.Equal(sa, sb) {
+				t.Errorf("event (%d,%d) assignments differ: %v vs %v", i, k, sa, sb)
 			}
 		}
 		va, vb := a.Vars(i), b.Vars(i)
@@ -50,6 +58,14 @@ func sameComputation(t *testing.T, a, b *computation.Computation) {
 	ma, mb := a.Messages(), b.Messages()
 	if len(ma) != len(mb) {
 		t.Fatalf("message counts differ: %d vs %d", len(ma), len(mb))
+	}
+	for _, id := range ma {
+		s, r := a.SendOf(id), a.RecvOf(id)
+		sb := b.Event(s.Proc, s.Index)
+		rb := b.RecvOf(sb.Msg)
+		if b.SendOf(sb.Msg) != sb || (r == nil) != (rb == nil) || r != nil && (r.Proc != rb.Proc || r.Index != rb.Index) {
+			t.Errorf("message %d (%v → %v) differs: %v → %v", id, s, r, b.SendOf(sb.Msg), rb)
+		}
 	}
 }
 
@@ -119,4 +135,101 @@ func TestEncodeOmitsZeroInitials(t *testing.T) {
 	if strings.Contains(buf.String(), `"initial"`) {
 		t.Errorf("zero initial values should be omitted:\n%s", buf.String())
 	}
+}
+
+// TestEncodeMatchesReflection: Encode writes exactly the reflection
+// encoder's bytes, on simulated computations and on one with initial
+// values, labels and names that need escaping, and with no events at all.
+func TestEncodeMatchesReflection(t *testing.T) {
+	b := computation.NewBuilder(3)
+	b.SetInitial(0, "a<b", 3)
+	b.SetInitial(2, "z", -1)
+	e, m := b.Send(0)
+	computation.Set(computation.WithLabel(e, "s\"&\n\x01\x7f\u2028\xff"), "x\u2029", 1)
+	computation.Set(computation.Set(b.Receive(1, m), "\xc3\x28", 2), "b", 0)
+	b.Internal(2)
+	comps := []*computation.Computation{
+		b.MustBuild(), sim.Fig2(), sim.Fig4(), sim.TokenRingMutex(3, 2),
+		computation.NewBuilder(2).MustBuild(),
+	}
+	for seed := int64(0); seed < 10; seed++ {
+		comps = append(comps, sim.Random(sim.DefaultRandomConfig(5, 200), seed))
+	}
+	for ci, comp := range comps {
+		var got bytes.Buffer
+		if err := Encode(&got, comp); err != nil {
+			t.Fatal(err)
+		}
+		if want := refEncode(comp); !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("comp %d: Encode differs from the reflection encoder:\n%s\nwant\n%s", ci, got.Bytes(), want)
+		}
+	}
+}
+
+// TestDecodeWideHeader: a header naming the most processes allowed and no
+// events decodes in a few MiB, not a clock per process.
+func TestDecodeWideHeader(t *testing.T) {
+	in := fmt.Sprintf(`{"version":1,"processes":%d,"events":[]}`, MaxProcesses)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	comp, err := Decode(strings.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if comp.N() != MaxProcesses {
+		t.Fatalf("N = %d", comp.N())
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if alloc > 16<<20 {
+		t.Errorf("decoding %d idle processes allocated %d MiB, want ≤ 16", MaxProcesses, alloc>>20)
+	}
+	t.Logf("%d idle processes: %.1f MiB allocated", MaxProcesses, float64(alloc)/(1<<20))
+}
+
+// benchTrace is a 100k-event, 8-process simulated trace.
+func benchTrace(b *testing.B) (*computation.Computation, []byte) {
+	comp := sim.Random(sim.DefaultRandomConfig(8, 100000), 1)
+	var buf bytes.Buffer
+	if err := Encode(&buf, comp); err != nil {
+		b.Fatal(err)
+	}
+	return comp, buf.Bytes()
+}
+
+// perEvent runs fn b.N times and reports its time and allocations per
+// event of comp.
+func perEvent(b *testing.B, comp *computation.Computation, fn func()) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fn()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	events := float64(b.N * comp.TotalEvents())
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/events, "allocs/event")
+}
+
+func BenchmarkDecode(b *testing.B) {
+	comp, data := benchTrace(b)
+	perEvent(b, comp, func() {
+		if _, err := Decode(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
+func BenchmarkEncode(b *testing.B) {
+	comp, data := benchTrace(b)
+	var out bytes.Buffer
+	out.Grow(len(data))
+	perEvent(b, comp, func() {
+		out.Reset()
+		if err := Encode(&out, comp); err != nil {
+			b.Fatal(err)
+		}
+	})
 }

@@ -48,7 +48,9 @@ type Cut = computation.Cut
 // Builder constructs computations event by event.
 type Builder = computation.Builder
 
-// Event is a single event of a computation.
+// Event is a single event of a computation. Its variable assignments are
+// recorded with Set while its Builder is open and read back with
+// Computation.AppendAssignments.
 type Event = computation.Event
 
 // Msg is a message handle connecting a Send to its Receive.
@@ -66,6 +68,10 @@ type Predicate = predicate.Predicate
 
 // NewBuilder returns a builder for a computation with n processes.
 func NewBuilder(n int) *Builder { return computation.NewBuilder(n) }
+
+// Set records that event e assigns value to variable name and returns e;
+// it panics once e's Builder has been built.
+func Set(e *Event, name string, value int) *Event { return computation.Set(e, name, value) }
 
 // Detect decides whether the computation satisfies the formula, routing to
 // the most specific polynomial algorithm the predicate class admits.

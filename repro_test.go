@@ -88,8 +88,8 @@ func TestFacadeRenderDiagram(t *testing.T) {
 
 func TestFacadeControl(t *testing.T) {
 	b := NewBuilder(2)
-	setVarT(b.Internal(0), "x", 1)
-	setVarT(b.Internal(1), "y", 1)
+	Set(b.Internal(0), "x", 1)
+	Set(b.Internal(1), "y", 1)
 	comp, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -117,13 +117,6 @@ func TestFacadeControl(t *testing.T) {
 	if _, _, err := Control(comp, "conj(x@P1 >= 5)"); err == nil {
 		t.Error("uncontrollable predicate accepted")
 	}
-}
-
-func setVarT(e *Event, name string, v int) {
-	if e.Sets == nil {
-		e.Sets = map[string]int{}
-	}
-	e.Sets[name] = v
 }
 
 func ExampleDetect() {
