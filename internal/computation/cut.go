@@ -1,7 +1,6 @@
 package computation
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 )
@@ -91,17 +90,6 @@ func Meet(c, d Cut) Cut {
 		}
 	}
 	return m
-}
-
-// Key returns a compact string usable as a map key identifying the cut.
-func (c Cut) Key() string {
-	buf := make([]byte, 0, len(c)*3)
-	var tmp [binary.MaxVarintLen64]byte
-	for _, x := range c {
-		n := binary.PutUvarint(tmp[:], uint64(x))
-		buf = append(buf, tmp[:n]...)
-	}
-	return string(buf)
 }
 
 // String renders the cut as "<a b c>".

@@ -114,14 +114,13 @@ func EGLinearBacktracking(comp *computation.Computation, p predicate.Predicate) 
 		return false
 	}
 	initial := comp.InitialCut()
-	failed := make(map[string]bool)
+	failed := computation.NewCutIndex(comp)
 	var down func(w computation.Cut) bool
 	down = func(w computation.Cut) bool {
 		if w.Equal(initial) {
 			return true
 		}
-		key := w.Key()
-		if failed[key] {
+		if _, ok := failed.Lookup(w); ok {
 			return false
 		}
 		for i := range w {
@@ -135,7 +134,7 @@ func EGLinearBacktracking(comp *computation.Computation, p predicate.Predicate) 
 			}
 			w[i]++
 		}
-		failed[key] = true
+		failed.Insert(w)
 		return false
 	}
 	return down(w)

@@ -20,7 +20,7 @@ func EFArbitrary(comp *computation.Computation, p predicate.Predicate) bool {
 }
 
 func efArbitrary(comp *computation.Computation, p predicate.Predicate, st *Stats) bool {
-	seen := make(map[string]bool)
+	seen := computation.NewCutIndex(comp)
 	cut := comp.InitialCut()
 	var dfs func() bool
 	dfs = func() bool {
@@ -29,12 +29,10 @@ func efArbitrary(comp *computation.Computation, p predicate.Predicate, st *Stats
 		if p.Eval(comp, cut) {
 			return true
 		}
-		key := cut.Key()
-		if seen[key] {
+		if _, added := seen.Insert(cut); !added {
 			st.memo(1)
 			return false
 		}
-		seen[key] = true
 		for i := range cut {
 			if comp.EnabledEvent(cut, i) {
 				cut[i]++
@@ -58,7 +56,7 @@ func EGArbitrary(comp *computation.Computation, p predicate.Predicate) bool {
 
 func egArbitrary(comp *computation.Computation, p predicate.Predicate, st *Stats) bool {
 	final := comp.FinalCut()
-	failed := make(map[string]bool)
+	failed := computation.NewCutIndex(comp)
 	cut := comp.InitialCut()
 	var dfs func() bool
 	dfs = func() bool {
@@ -70,8 +68,7 @@ func egArbitrary(comp *computation.Computation, p predicate.Predicate, st *Stats
 		if cut.Equal(final) {
 			return true
 		}
-		key := cut.Key()
-		if failed[key] {
+		if _, ok := failed.Lookup(cut); ok {
 			st.memo(1)
 			return false
 		}
@@ -85,7 +82,7 @@ func egArbitrary(comp *computation.Computation, p predicate.Predicate, st *Stats
 				}
 			}
 		}
-		failed[key] = true
+		failed.Insert(cut)
 		return false
 	}
 	return dfs()
@@ -108,7 +105,7 @@ func EUArbitrary(comp *computation.Computation, p, q predicate.Predicate) bool {
 }
 
 func euArbitrary(comp *computation.Computation, p, q predicate.Predicate, st *Stats) bool {
-	failed := make(map[string]bool)
+	failed := computation.NewCutIndex(comp)
 	cut := comp.InitialCut()
 	var dfs func() bool
 	dfs = func() bool {
@@ -121,8 +118,7 @@ func euArbitrary(comp *computation.Computation, p, q predicate.Predicate, st *St
 		if !p.Eval(comp, cut) {
 			return false
 		}
-		key := cut.Key()
-		if failed[key] {
+		if _, ok := failed.Lookup(cut); ok {
 			st.memo(1)
 			return false
 		}
@@ -136,7 +132,7 @@ func euArbitrary(comp *computation.Computation, p, q predicate.Predicate, st *St
 				}
 			}
 		}
-		failed[key] = true
+		failed.Insert(cut)
 		return false
 	}
 	return dfs()

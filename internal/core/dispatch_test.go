@@ -194,11 +194,11 @@ func TestMeetJoinIrreducibleHelpers(t *testing.T) {
 		ji := JoinIrreducibles(comp)
 		wantMI := map[string]bool{}
 		for _, idx := range l.MeetIrreducibles() {
-			wantMI[l.Cut(idx).Key()] = true
+			wantMI[l.Cut(idx).String()] = true
 		}
 		gotMI := map[string]bool{}
 		for _, c := range mi {
-			gotMI[c.Key()] = true
+			gotMI[c.String()] = true
 		}
 		if len(gotMI) != len(wantMI) {
 			t.Fatalf("seed %d: formula MI count %d, lattice %d", seed, len(gotMI), len(wantMI))
@@ -210,11 +210,11 @@ func TestMeetJoinIrreducibleHelpers(t *testing.T) {
 		}
 		wantJI := map[string]bool{}
 		for _, idx := range l.JoinIrreducibles() {
-			wantJI[l.Cut(idx).Key()] = true
+			wantJI[l.Cut(idx).String()] = true
 		}
 		gotJI := map[string]bool{}
 		for _, c := range ji {
-			gotJI[c.Key()] = true
+			gotJI[c.String()] = true
 		}
 		if len(gotJI) != len(wantJI) {
 			t.Fatalf("seed %d: formula JI count %d, lattice %d", seed, len(gotJI), len(wantJI))

@@ -50,11 +50,18 @@ func searchSlice(comp *computation.Computation, sl *slice.Slice, factor predicat
 	}
 	guard := sliceGuard(comp, sl, factor)
 
-	seen := map[string]bool{ip.Key(): true}
-	stack := []computation.Cut{ip.Copy()}
+	// The walk allocates nothing per cut: each J-join lands in next, a cut
+	// is copied onto the flat stack only when the index first sees it, and
+	// pops land in cut. LIFO pops with successors pushed in process order
+	// fix the visiting order, hence every count and early exit.
+	n := comp.N()
+	seen := computation.NewCutIndex(comp)
+	seen.Insert(ip)
+	stack := append(make([]int, 0, 64*n), ip...)
+	cut, next := make(computation.Cut, n), make(computation.Cut, n)
 	for len(stack) > 0 {
-		cut := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+		copy(cut, stack[len(stack)-n:])
+		stack = stack[:len(stack)-n]
 		st.cuts(1)
 		st.sliceCuts(1)
 		// One word test per process confirms the cut stayed inside the
@@ -75,10 +82,11 @@ func searchSlice(comp *computation.Computation, sl *slice.Slice, factor predicat
 			if !ok {
 				continue // event eliminated: no satisfying cut contains it
 			}
-			next := computation.Join(cut, jc)
-			if key := next.Key(); !seen[key] {
-				seen[key] = true
-				stack = append(stack, next)
+			for k := range next {
+				next[k] = max(cut[k], jc[k])
+			}
+			if _, added := seen.Insert(next); added {
+				stack = append(stack, next...)
 			}
 		}
 	}
@@ -100,6 +108,7 @@ func sliceGuard(comp *computation.Computation, sl *slice.Slice, factor predicate
 		return nil
 	}
 	masks := make([][]uint64, comp.N())
+	words := make([]uint64, (comp.TotalEvents()+comp.N()*64)/64) // one backing for every mask
 	for i := 0; i < comp.N(); i++ {
 		hi := comp.Len(i)
 		for k := 1; k <= comp.Len(i); k++ {
@@ -108,7 +117,8 @@ func sliceGuard(comp *computation.Computation, sl *slice.Slice, factor predicate
 				break
 			}
 		}
-		m := make([]uint64, (comp.Len(i)+1+63)/64)
+		m := words[:(comp.Len(i)+1+63)/64]
+		words = words[len(m):]
 		for k := ip[i]; k <= hi; k++ {
 			m[k>>6] |= 1 << (uint(k) & 63)
 		}

@@ -1,0 +1,314 @@
+package core
+
+import (
+	"encoding/binary"
+	"math/rand"
+	"testing"
+
+	"repro/internal/computation"
+	"repro/internal/pir"
+	"repro/internal/predicate"
+	"repro/internal/slice"
+)
+
+// The memoized cut walks name cuts by computation.CutIndex. This file
+// keeps their string-keyed predecessors as references: on the same inputs
+// the indexed walks must visit the same cuts in the same order, so
+// verdicts and every Stats counter agree exactly.
+
+// cutKey is the varint string the walks used to key their maps by.
+func cutKey(c computation.Cut) string {
+	buf := make([]byte, 0, len(c)*3)
+	for _, x := range c {
+		buf = binary.AppendUvarint(buf, uint64(x))
+	}
+	return string(buf)
+}
+
+func refSearchSlice(comp *computation.Computation, sl *slice.Slice, factor predicate.Linear, rest predicate.Predicate, st *Stats) bool {
+	ip, ok := sl.Least()
+	if !ok {
+		return false
+	}
+	guard := sliceGuard(comp, sl, factor)
+	seen := map[string]bool{cutKey(ip): true}
+	stack := []computation.Cut{ip.Copy()}
+	for len(stack) > 0 {
+		cut := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		st.cuts(1)
+		st.sliceCuts(1)
+		if guard != nil && !guard.Eval(comp, cut) {
+			continue
+		}
+		st.evals(1)
+		if rest.Eval(comp, cut) {
+			return true
+		}
+		for i := range cut {
+			if cut[i] >= comp.Len(i) {
+				continue
+			}
+			jc, ok := sl.J(i, cut[i]+1)
+			if !ok {
+				continue
+			}
+			next := computation.Join(cut, jc)
+			if key := cutKey(next); !seen[key] {
+				seen[key] = true
+				stack = append(stack, next)
+			}
+		}
+	}
+	return false
+}
+
+func refEFArbitrary(comp *computation.Computation, p predicate.Predicate, st *Stats) bool {
+	seen := make(map[string]bool)
+	cut := comp.InitialCut()
+	var dfs func() bool
+	dfs = func() bool {
+		st.cuts(1)
+		st.evals(1)
+		if p.Eval(comp, cut) {
+			return true
+		}
+		key := cutKey(cut)
+		if seen[key] {
+			st.memo(1)
+			return false
+		}
+		seen[key] = true
+		for i := range cut {
+			if comp.EnabledEvent(cut, i) {
+				cut[i]++
+				hit := dfs()
+				cut[i]--
+				if hit {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	return dfs()
+}
+
+func refEGArbitrary(comp *computation.Computation, p predicate.Predicate, st *Stats) bool {
+	final := comp.FinalCut()
+	failed := make(map[string]bool)
+	cut := comp.InitialCut()
+	var dfs func() bool
+	dfs = func() bool {
+		st.cuts(1)
+		st.evals(1)
+		if !p.Eval(comp, cut) {
+			return false
+		}
+		if cut.Equal(final) {
+			return true
+		}
+		key := cutKey(cut)
+		if failed[key] {
+			st.memo(1)
+			return false
+		}
+		for i := range cut {
+			if comp.EnabledEvent(cut, i) {
+				cut[i]++
+				hit := dfs()
+				cut[i]--
+				if hit {
+					return true
+				}
+			}
+		}
+		failed[key] = true
+		return false
+	}
+	return dfs()
+}
+
+func refEUArbitrary(comp *computation.Computation, p, q predicate.Predicate, st *Stats) bool {
+	failed := make(map[string]bool)
+	cut := comp.InitialCut()
+	var dfs func() bool
+	dfs = func() bool {
+		st.cuts(1)
+		st.evals(1)
+		if q.Eval(comp, cut) {
+			return true
+		}
+		st.evals(1)
+		if !p.Eval(comp, cut) {
+			return false
+		}
+		key := cutKey(cut)
+		if failed[key] {
+			st.memo(1)
+			return false
+		}
+		for i := range cut {
+			if comp.EnabledEvent(cut, i) {
+				cut[i]++
+				hit := dfs()
+				cut[i]--
+				if hit {
+					return true
+				}
+			}
+		}
+		failed[key] = true
+		return false
+	}
+	return dfs()
+}
+
+// refEGLinearBacktracking counts its evaluations in st so the comparison
+// sees the visiting order, which the exported walk does not report.
+func refEGLinearBacktracking(comp *computation.Computation, p predicate.Predicate, st *Stats) bool {
+	w := comp.FinalCut()
+	st.evals(1)
+	if !p.Eval(comp, w) {
+		return false
+	}
+	initial := comp.InitialCut()
+	failed := make(map[string]bool)
+	var down func(w computation.Cut) bool
+	down = func(w computation.Cut) bool {
+		if w.Equal(initial) {
+			return true
+		}
+		key := cutKey(w)
+		if failed[key] {
+			return false
+		}
+		for i := range w {
+			if !comp.MaximalEvent(w, i) {
+				continue
+			}
+			w[i]--
+			st.evals(1)
+			if p.Eval(comp, w) && down(w) {
+				w[i]++
+				return true
+			}
+			w[i]++
+		}
+		failed[key] = true
+		return false
+	}
+	return down(w)
+}
+
+// counting wraps a predicate so its evaluations are counted in st: the
+// exported EGLinearBacktracking takes no Stats, and the wrapper makes its
+// visiting order observable all the same.
+func counting(p predicate.Predicate, st *Stats) predicate.Predicate {
+	return predicate.Fn{Name: p.String(), F: func(c *computation.Computation, cut computation.Cut) bool {
+		st.evals(1)
+		return p.Eval(c, cut)
+	}}
+}
+
+// walkBattery returns the predicates the walks are compared on: the
+// conjunctive battery, its negations, a disjunction with a channel
+// predicate, and a class-free coordinate test.
+func walkBattery(rng *rand.Rand, comp *computation.Computation) []predicate.Predicate {
+	var ps []predicate.Predicate
+	for _, c := range conjBattery(comp) {
+		ps = append(ps, c, predicate.Not{P: c})
+	}
+	ps = append(ps,
+		predicate.Or{Ps: []predicate.Predicate{conjBattery(comp)[0], predicate.ChannelsEmpty{}}},
+		randomSliceRemainder(rng, comp),
+		predicate.True,
+	)
+	return ps
+}
+
+func TestWalksMatchStringKeyedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for ci, comp := range testComps(t) {
+		ps := walkBattery(rng, comp)
+		for pi, p := range ps {
+			q := ps[(pi+1)%len(ps)]
+			type walk struct {
+				name     string
+				got, ref func(*Stats) bool
+			}
+			walks := []walk{
+				{"EF", func(st *Stats) bool { return efArbitrary(comp, p, st) },
+					func(st *Stats) bool { return refEFArbitrary(comp, p, st) }},
+				{"EG", func(st *Stats) bool { return egArbitrary(comp, p, st) },
+					func(st *Stats) bool { return refEGArbitrary(comp, p, st) }},
+				{"EU", func(st *Stats) bool { return euArbitrary(comp, p, q, st) },
+					func(st *Stats) bool { return refEUArbitrary(comp, p, q, st) }},
+			}
+			for _, w := range walks {
+				var got, ref Stats
+				if g, r := w.got(&got), w.ref(&ref); g != r || got != ref {
+					t.Fatalf("comp %d %s(%s): got %v %+v, reference %v %+v", ci, w.name, p, g, got, r, ref)
+				}
+			}
+			var got, ref Stats
+			g := EGLinearBacktracking(comp, counting(p, &got))
+			r := refEGLinearBacktracking(comp, p, &ref)
+			if g != r || got.PredicateEvals != ref.PredicateEvals {
+				t.Fatalf("comp %d EGLinearBacktracking(%s): got %v after %d evals, reference %v after %d",
+					ci, p, g, got.PredicateEvals, r, ref.PredicateEvals)
+			}
+		}
+	}
+}
+
+func TestSearchSliceMatchesStringKeyedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3232))
+	compared := 0
+	for ci, comp := range testComps(t) {
+		for _, factor := range conjBattery(comp) {
+			if len(factor.Locals) == 0 {
+				continue
+			}
+			rests := []predicate.Predicate{
+				predicate.False,
+				randomSliceRemainder(rng, comp),
+				predicate.Disjunctive{Locals: []predicate.LocalPredicate{
+					predicate.VarCmp{Proc: 0, Var: "x0", Op: predicate.GE, K: 2},
+					predicate.VarCmp{Proc: comp.N() - 1, Var: "x0", Op: predicate.LT, K: 0},
+				}},
+			}
+			for _, rest := range rests {
+				// Route through the IR as detection does, so the lowered
+				// factor and remainder are the ones compared.
+				pr := pir.FromPredicate(predicate.And{Ps: []predicate.Predicate{factor, rest}}).Bind(comp)
+				lf, lrest, ok := pr.SliceFactor()
+				if !ok {
+					t.Fatalf("comp %d: %s has no slice factor", ci, pr.P)
+				}
+				sl := slice.NewIncremental(comp, lf)
+				var got, ref Stats
+				g := searchSlice(comp, sl, lf, lrest, &got)
+				r := refSearchSlice(comp, sl, lf, rest, &ref)
+				if g != r || got != ref {
+					t.Fatalf("comp %d factor %s rest %s: got %v %+v, reference %v %+v", ci, factor, rest, g, got, r, ref)
+				}
+				compared++
+			}
+		}
+	}
+	// The shape the benchmark measures, wide enough to grow the index.
+	for seed := int64(0); seed < 4; seed++ {
+		comp, factor, rest := edgeShape(8, 96, 2, seed)
+		sl := slice.NewIncremental(comp, factor)
+		var got, ref Stats
+		g := searchSlice(comp, sl, factor, rest, &got)
+		r := refSearchSlice(comp, sl, factor, rest, &ref)
+		if g != r || got != ref {
+			t.Fatalf("edge shape seed %d: got %v %+v, reference %v %+v", seed, g, got, r, ref)
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no slice search compared")
+	}
+}

@@ -136,17 +136,17 @@ func (l *Lattice) VerifyLatticeLaws() error {
 func (l *Lattice) VerifyBirkhoff() error {
 	mi := l.MeetIrreducibles()
 	// Degree-based meet-irreducibles == formula-based ones.
-	formula := make(map[string]bool)
+	formula := computation.NewCutIndex(l.comp)
 	for i := 0; i < l.comp.N(); i++ {
 		for _, e := range l.comp.Events(i) {
-			formula[l.comp.UpSetComplement(e).Key()] = true
+			formula.Insert(l.comp.UpSetComplement(e))
 		}
 	}
-	if len(formula) != len(mi) {
-		return fmt.Errorf("formula yields %d meet-irreducibles, degree count %d", len(formula), len(mi))
+	if formula.Len() != len(mi) {
+		return fmt.Errorf("formula yields %d meet-irreducibles, degree count %d", formula.Len(), len(mi))
 	}
 	for _, i := range mi {
-		if !formula[l.cuts[i].Key()] {
+		if _, ok := formula.Lookup(l.cuts[i]); !ok {
 			return fmt.Errorf("degree-based meet-irreducible %v not produced by E−↑e formula", l.cuts[i])
 		}
 	}
@@ -167,17 +167,17 @@ func (l *Lattice) VerifyBirkhoff() error {
 	}
 	// Dually for join-irreducibles: these must be exactly the down-sets ↓e.
 	ji := l.JoinIrreducibles()
-	down := make(map[string]bool)
+	down := computation.NewCutIndex(l.comp)
 	for i := 0; i < l.comp.N(); i++ {
 		for _, e := range l.comp.Events(i) {
-			down[l.comp.DownSet(e).Key()] = true
+			down.Insert(l.comp.DownSet(e))
 		}
 	}
-	if len(down) != len(ji) {
-		return fmt.Errorf("formula yields %d join-irreducibles, degree count %d", len(down), len(ji))
+	if down.Len() != len(ji) {
+		return fmt.Errorf("formula yields %d join-irreducibles, degree count %d", down.Len(), len(ji))
 	}
 	for _, i := range ji {
-		if !down[l.cuts[i].Key()] {
+		if _, ok := down.Lookup(l.cuts[i]); !ok {
 			return fmt.Errorf("join-irreducible %v is not a ↓e", l.cuts[i])
 		}
 	}

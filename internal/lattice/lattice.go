@@ -31,8 +31,8 @@ var (
 type Lattice struct {
 	comp  *computation.Computation
 	cuts  []computation.Cut
-	index map[string]int // cut key → node index
-	succs [][]int        // covers: succs[i] lists j with cuts[i] ▷ cuts[j]
+	index *computation.CutIndex // cut → node index
+	succs [][]int               // covers: succs[i] lists j with cuts[i] ▷ cuts[j]
 	preds [][]int
 	final int
 }
@@ -52,24 +52,21 @@ func Build(comp *computation.Computation) (*Lattice, error) {
 func BuildLimited(comp *computation.Computation, maxCuts int) (*Lattice, error) {
 	l := &Lattice{
 		comp:  comp,
-		index: make(map[string]int),
+		index: computation.NewCutIndex(comp),
 	}
 	initial := comp.InitialCut()
 	l.cuts = append(l.cuts, initial)
-	l.index[initial.Key()] = 0
+	l.index.Insert(initial)
 	for head := 0; head < len(l.cuts); head++ {
 		cur := l.cuts[head]
 		var ss []int
 		for _, next := range comp.Successors(cur) {
-			key := next.Key()
-			idx, seen := l.index[key]
-			if !seen {
+			idx, added := l.index.Insert(next)
+			if added {
 				if len(l.cuts) >= maxCuts {
 					return nil, fmt.Errorf("lattice: more than %d consistent cuts", maxCuts)
 				}
-				idx = len(l.cuts)
 				l.cuts = append(l.cuts, next)
-				l.index[key] = idx
 			}
 			ss = append(ss, idx)
 		}
@@ -81,7 +78,7 @@ func BuildLimited(comp *computation.Computation, maxCuts int) (*Lattice, error) 
 			l.preds[j] = append(l.preds[j], i)
 		}
 	}
-	l.final = l.index[comp.FinalCut().Key()]
+	l.final, _ = l.index.Lookup(comp.FinalCut())
 	// One batched add per build keeps the enumeration loop free of atomics.
 	metBuilds.Inc()
 	metCutsEnumerated.Add(int64(len(l.cuts)))
@@ -118,10 +115,8 @@ func (l *Lattice) Final() int { return l.final }
 // Index returns the node index of a cut, or -1 if the cut is not a
 // consistent cut of the computation.
 func (l *Lattice) Index(c computation.Cut) int {
-	if idx, ok := l.index[c.Key()]; ok {
-		return idx
-	}
-	return -1
+	idx, _ := l.index.Lookup(c)
+	return idx
 }
 
 // Succs returns the covers of node i (the cuts one event above).

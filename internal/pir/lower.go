@@ -9,9 +9,10 @@ import (
 
 // lowering is the per-computation compiled evaluator attached by Bind.
 type lowering struct {
-	conj    *LoweredConj // conjunctive view, when lowerable
-	negConj *LoweredConj // complement of the disjunctive view
-	factor  *LoweredConj // regular slice factor of a mixed And / Not(And)
+	conj    *LoweredConj        // conjunctive view, when lowerable
+	negConj *LoweredConj        // complement of the disjunctive view
+	factor  *LoweredConj        // regular slice factor of a mixed And / Not(And)
+	rest    predicate.Predicate // factor's remainder, lowered when disjunctive
 	stats   LowerStats
 }
 
@@ -67,8 +68,14 @@ func (pr *Pred) Bind(comp *computation.Computation) *Pred {
 			inner = n.P
 		}
 		if _, viewable := conjunctiveView(inner); !viewable {
-			if factor, _, ok := sliceFactorOf(inner); ok && len(factor.Locals) > 0 {
-				low.factor = lowerConj(comp, factor, &low.stats)
+			if factor, rest, ok := sliceFactorOf(inner); ok && len(factor.Locals) > 0 {
+				low.factor, low.rest = lowerConj(comp, factor, &low.stats), rest
+				// The remainder is never conjunctive (every conjunctive
+				// part merged into the factor); a disjunctive one lowers
+				// to the complement of its negation's bitsets.
+				if d, ok := disjunctiveView(rest); ok && len(d.Locals) > 0 {
+					low.rest = &loweredDisj{src: d, neg: lowerConj(comp, d.Negate(), &low.stats)}
+				}
 			}
 		}
 	}
@@ -148,6 +155,19 @@ func (p *LoweredConj) Retreat(c *computation.Computation, cut computation.Cut) (
 // String implements Predicate by rendering the source predicate, so
 // algorithm output and diagnostics are unchanged by the lowering.
 func (p *LoweredConj) String() string { return p.src.String() }
+
+// loweredDisj evaluates a disjunction of local predicates as the
+// complement of its negation's conjunctive bitsets.
+type loweredDisj struct {
+	src predicate.Disjunctive
+	neg *LoweredConj
+}
+
+func (p *loweredDisj) Eval(c *computation.Computation, cut computation.Cut) bool {
+	return !p.neg.Eval(c, cut)
+}
+
+func (p *loweredDisj) String() string { return p.src.String() }
 
 // internKey returns a stable identity for a local predicate when one
 // exists. Only value types whose String fully determines their semantics
@@ -241,13 +261,19 @@ func lowerConj(comp *computation.Computation, c predicate.Conjunctive, st *Lower
 func (p *LoweredConj) Restrict(masks [][]uint64) *LoweredConj {
 	out := &LoweredConj{src: p.src, locals: p.locals}
 	out.procs = make([]procWords, len(p.procs))
+	total := 0
+	for _, pw := range p.procs {
+		total += len(pw.bits)
+	}
+	words := make([]uint64, total) // one backing for every restricted bitset
 	for i, pw := range p.procs {
 		m := masks[pw.proc]
 		if m == nil {
 			out.procs[i] = pw
 			continue
 		}
-		bits := make([]uint64, len(pw.bits))
+		bits := words[:len(pw.bits)]
+		words = words[len(pw.bits):]
 		for w := range pw.bits {
 			bits[w] = pw.bits[w]
 			if w < len(m) {

@@ -426,8 +426,9 @@ func sliceFactorOf(p predicate.Predicate) (predicate.Conjunctive, predicate.Pred
 }
 
 // SliceFactor returns the predicate's regular factor as a linear
-// evaluator (bitset-lowered after Bind) plus the arbitrary remainder,
-// when the structure admits one: p ⟺ factor ∧ rest. This is the shape
+// evaluator (bitset-lowered after Bind) plus the arbitrary remainder
+// (lowered too after Bind when it is disjunctive), when the structure
+// admits one: p ⟺ factor ∧ rest. This is the shape
 // the slice-first EF dispatch consumes — detection builds the factor's
 // slice and searches only its sublattice.
 func (pr *Pred) SliceFactor() (predicate.Linear, predicate.Predicate, bool) {
@@ -437,7 +438,7 @@ func (pr *Pred) SliceFactor() (predicate.Linear, predicate.Predicate, bool) {
 	}
 	if pr.low != nil {
 		if pr.low.factor != nil {
-			return pr.low.factor, rest, true
+			return pr.low.factor, pr.low.rest, true
 		}
 		if pr.low.conj != nil {
 			// Whole predicate is conjunctive (rest = true): reuse its lowering.
@@ -460,7 +461,7 @@ func (pr *Pred) NegatedSliceFactor() (predicate.Linear, predicate.Predicate, boo
 		return nil, nil, false
 	}
 	if pr.low != nil && pr.low.factor != nil {
-		return pr.low.factor, rest, true
+		return pr.low.factor, pr.low.rest, true
 	}
 	return factor, rest, true
 }

@@ -167,10 +167,10 @@ func TestChannelPredicatesMatchReference(t *testing.T) {
 		for len(queue) > 0 {
 			cut := queue[0]
 			queue = queue[1:]
-			if seen[cut.Key()] {
+			if seen[cut.String()] {
 				continue
 			}
-			seen[cut.Key()] = true
+			seen[cut.String()] = true
 			queue = append(queue, c.Successors(cut)...)
 
 			ids := refInFlight(c, cut, func(_, _ *computation.Event) bool { return true })
