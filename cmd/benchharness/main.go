@@ -11,7 +11,6 @@
 //	cluster     multi-node cluster: replication overhead and failover cost
 //	complexity  §5/§7 complexity claims: structural vs lattice baseline
 //	ablation    design-choice ablations from DESIGN.md
-//	parallel    parallel sweeps: A2/A3 speedup and determinism check
 //	compile     predicate IR: compile/dispatch cost and bitset-lowering payoff
 //	spanhb      OTel-style span ingest: decode, HB lowering, detection
 //	slice       computation slicing: construction, routed detection, bounded state
@@ -52,7 +51,6 @@ var experiments = []struct {
 	{"ingest", "ingest encodings: NDJSON frame-per-event vs binary batched", runIngest},
 	{"faults", "flaky-proxy ingest: resume/replay cost under injected faults", runFaults},
 	{"cluster", "detection cluster: replication overhead and failover cost", runCluster},
-	{"parallel", "parallel sweeps: A2/A3 speedup and determinism check", runParallel},
 	{"compile", "predicate IR: compile cost and bitset-lowering payoff", runCompile},
 	{"slice", "computation slicing: construction, slice-routed detection, bounded online state", runSlice},
 	{"spanhb", "OTel-style span ingest: decode, HB lowering, detection", runSpanhb},

@@ -93,7 +93,6 @@ func RunDetect(args []string, stdout, stderr io.Writer) int {
 		quiet     = fs.Bool("q", false, "print only true/false")
 		stats     = fs.Bool("stats", false, "print per-run detection statistics (cuts visited, predicate evaluations, ...)")
 		explain   = fs.Bool("explain", false, "print the inferred predicate class, Table 1 cell, chosen algorithm and bitset-lowering stats")
-		workers   = fs.Int("workers", 1, "parallel workers for the sweep-shaped algorithms (0 = GOMAXPROCS)")
 		traceOut  = fs.String("trace-jsonl", "", "append one JSON line per Detect run (a detection span) to this file")
 		slow      = fs.Duration("slow", 0, "log Detect runs slower than this as structured JSONL (0 disables)")
 		slowOut   = fs.String("slow-jsonl", "", "slow-detection log destination (default stderr)")
@@ -140,7 +139,7 @@ func RunDetect(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *formulas != "" {
-		return runDetectBatch(comp, *formulas, *nested, *stats, *workers, stdout, stderr)
+		return runDetectBatch(comp, *formulas, *nested, *stats, stdout, stderr)
 	}
 	f, err := ctl.Parse(*formula)
 	if err != nil {
@@ -159,7 +158,7 @@ func RunDetect(args []string, stdout, stderr io.Writer) int {
 	if *nested {
 		res, err = core.DetectNested(comp, f, 0)
 	} else {
-		res, err = core.DetectParallel(comp, f, *workers)
+		res, err = core.Detect(comp, f)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "hbdetect:", err)
@@ -230,7 +229,7 @@ func formatStats(s *core.Stats) string {
 
 // runDetectBatch runs every formula from a file and prints a result
 // table. Exit 0 when all hold, 1 when any fails, 2 on errors.
-func runDetectBatch(comp *computation.Computation, path string, nested, stats bool, workers int, stdout, stderr io.Writer) int {
+func runDetectBatch(comp *computation.Computation, path string, nested, stats bool, stdout, stderr io.Writer) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(stderr, "hbdetect:", err)
@@ -252,7 +251,7 @@ func runDetectBatch(comp *computation.Computation, path string, nested, stats bo
 		if nested {
 			res, err = core.DetectNested(comp, f, 0)
 		} else {
-			res, err = core.DetectParallel(comp, f, workers)
+			res, err = core.Detect(comp, f)
 		}
 		if err != nil {
 			fmt.Fprintf(stderr, "hbdetect: line %d: %v\n", lineNo+1, err)

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"runtime"
 	"time"
 
 	"os"
@@ -41,7 +40,6 @@ func RunServer(args []string, stdout, stderr io.Writer) int {
 		retention   = fs.Int("retention", 4096, "resume staleness bound: a resume more than this many accepted frames behind is rejected as stale")
 		ackEvery    = fs.Int("ack-every", 32, "ack resumable sessions every N applied frames (clients size in-flight buffers from this)")
 		ingestDelay = fs.Duration("ingest-delay", 0, "artificial per-event processing delay (testing/demos)")
-		workers     = fs.Int("workers", 1, "parallel workers for snapshot detection queries (0 = GOMAXPROCS)")
 		pprof       = fs.Bool("pprof", false, "also serve /debug/pprof on the -http address")
 		spanJSONL   = fs.String("span-jsonl", "", "append pipeline spans (session, frame, stages) as JSON lines to this file")
 		slow        = fs.Duration("slow", 0, "log detection runs slower than this to /debug/obs (0 disables)")
@@ -63,11 +61,6 @@ func RunServer(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, "hbserver:", err)
 		return 2
-	}
-	if *workers <= 0 {
-		// The zero-value server Config means sequential, so resolve the
-		// "use the hardware" request here.
-		*workers = runtime.GOMAXPROCS(0)
 	}
 
 	// Pipeline observability: recent spans and slow detections are kept
@@ -105,7 +98,6 @@ func RunServer(args []string, stdout, stderr io.Writer) int {
 		RetentionWindow: *retention,
 		AckEvery:        *ackEvery,
 		IngestDelay:     *ingestDelay,
-		Workers:         *workers,
 		Registry:        obs.Default(),
 		Tracer:          tracer,
 		Logf:            logf,

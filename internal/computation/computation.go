@@ -106,6 +106,14 @@ func (c *Computation) Value(i, k int, name string) (int, bool) {
 	return col[k], true
 }
 
+// Column returns the values of variable name in local states 0..Len(i) of
+// process i, and whether the variable is defined for that process. The
+// returned slice must not be modified.
+func (c *Computation) Column(i int, name string) ([]int, bool) {
+	col, ok := c.vals[i][name]
+	return col, ok
+}
+
 // Vars returns the sorted variable names defined on process i.
 func (c *Computation) Vars(i int) []string { return c.varsByProc[i] }
 

@@ -29,17 +29,38 @@ func agLinear(comp *computation.Computation, p predicate.Predicate, st *Stats) (
 	if !p.Eval(comp, final) {
 		return final, false
 	}
-	for i := 0; i < comp.N(); i++ {
-		for _, e := range comp.Events(i) {
-			m := comp.UpSetComplement(e)
-			st.cuts(1)
-			st.evals(1)
-			if !p.Eval(comp, m) {
-				return m, false
+	cex := sweepMeetIrreducibles(comp, func(m computation.Cut) bool {
+		st.cuts(1)
+		st.evals(1)
+		return p.Eval(comp, m)
+	})
+	return cex, cex == nil
+}
+
+// sweepMeetIrreducibles calls visit on M(e) = E − ↑e for every event e, by
+// process and then by position, and returns a copy of the first cut visit
+// rejects (nil when it accepts all). The cuts share one buffer, valid only
+// during the call. For the events of process i, M(e)[j] counts the events
+// of j with Clock[i] < e.Index (for j = i, the k−1 events before e), a
+// prefix of j that only grows along i, so one monotone pointer per process
+// makes the sweep O(n|E|) in all.
+func sweepMeetIrreducibles(comp *computation.Computation, visit func(m computation.Cut) bool) computation.Cut {
+	m := comp.InitialCut()
+	for i := range m {
+		clear(m)
+		for k := 1; k <= comp.Len(i); k++ {
+			for j := range m {
+				evs := comp.Events(j)
+				for m[j] < len(evs) && evs[m[j]].Clock[i] < k {
+					m[j]++
+				}
+			}
+			if !visit(m) {
+				return m.Copy()
 			}
 		}
 	}
-	return nil, true
+	return nil
 }
 
 // AGPostLinear is the dual of Algorithm A2: a post-linear predicate is
@@ -51,15 +72,16 @@ func AGPostLinear(comp *computation.Computation, p predicate.Predicate) (counter
 }
 
 func agPostLinear(comp *computation.Computation, p predicate.Predicate, st *Stats) (counterexample computation.Cut, ok bool) {
-	initial := comp.InitialCut()
+	j := comp.InitialCut()
 	st.cuts(1)
 	st.evals(1)
-	if !p.Eval(comp, initial) {
-		return initial, false
+	if !p.Eval(comp, j) {
+		return j, false
 	}
-	for i := 0; i < comp.N(); i++ {
+	// ↓e is e's clock read as a cut; evaluate it in one reused cut.
+	for i := range j {
 		for _, e := range comp.Events(i) {
-			j := comp.DownSet(e)
+			copy(j, e.Clock)
 			st.cuts(1)
 			st.evals(1)
 			if !p.Eval(comp, j) {
@@ -76,11 +98,10 @@ func agPostLinear(comp *computation.Computation, p predicate.Predicate, st *Stat
 // the explicit lattice.
 func MeetIrreducibles(comp *computation.Computation) []computation.Cut {
 	var out []computation.Cut
-	for i := 0; i < comp.N(); i++ {
-		for _, e := range comp.Events(i) {
-			out = append(out, comp.UpSetComplement(e))
-		}
-	}
+	sweepMeetIrreducibles(comp, func(m computation.Cut) bool {
+		out = append(out, m.Copy())
+		return true
+	})
 	return out
 }
 

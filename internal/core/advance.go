@@ -51,9 +51,11 @@ func leastCut(comp *computation.Computation, p predicate.Linear, st *Stats) (com
 		if cut[i] >= comp.Len(i) {
 			return nil, false // forbidden process has no more events
 		}
-		next := comp.Event(i, cut[i]+1)
-		// Advance to the least consistent cut containing cut ∪ {next}.
-		cut = computation.Join(cut, comp.DownSet(next))
+		// Advance in place to the least consistent cut containing
+		// cut ∪ {next}: the join with ↓next, next's clock.
+		for j, c := range comp.Event(i, cut[i]+1).Clock {
+			cut[j] = max(cut[j], c)
+		}
 		st.advance(1)
 		st.cuts(1)
 		st.evals(1)
@@ -83,10 +85,24 @@ func greatestCut(comp *computation.Computation, p predicate.PostLinear, st *Stat
 		if cut[i] == 0 {
 			return nil, false // retreat process already at its initial state
 		}
-		last := comp.Event(i, cut[i])
-		// Remove last and its causal up-set: the greatest consistent cut
-		// below cut excluding last is cut ⊓ (E − ↑last).
-		cut = computation.Meet(cut, comp.UpSetComplement(last))
+		// Remove last and its causal up-set in place: the greatest
+		// consistent cut below cut excluding last is cut ⊓ (E − ↑last). On
+		// each process the included events that know last form a suffix;
+		// keep the prefix before it.
+		last := cut[i]
+		for j := range cut {
+			evs := comp.Events(j)
+			lo, hi := 0, cut[j]
+			for lo < hi {
+				mid := int(uint(lo+hi) >> 1)
+				if evs[mid].Clock[i] >= last {
+					hi = mid
+				} else {
+					lo = mid + 1
+				}
+			}
+			cut[j] = lo
+		}
 		st.advance(1)
 		st.cuts(1)
 		st.evals(1)

@@ -39,15 +39,9 @@ type Result struct {
 // Temporal operators must not be nested (the paper's fragment); boolean
 // combinations of temporal formulas are evaluated recursively.
 func Detect(comp *computation.Computation, f ctl.Formula) (Result, error) {
-	return runDetect(comp, f, 1)
-}
-
-// runDetect is the shared body of Detect and DetectParallel; workers is
-// already normalized (>= 1).
-func runDetect(comp *computation.Computation, f ctl.Formula, workers int) (Result, error) {
 	st := &Stats{}
 	start := time.Now()
-	r, err := detect(comp, f, st, workers)
+	r, err := detect(comp, f, st)
 	if err != nil {
 		return r, err
 	}
@@ -62,12 +56,11 @@ func runDetect(comp *computation.Computation, f ctl.Formula, workers int) (Resul
 }
 
 // detect is the recursive dispatcher; st aggregates work across the
-// boolean structure of the formula, and workers is the parallel budget
-// handed down to the sweep-shaped algorithms.
-func detect(comp *computation.Computation, f ctl.Formula, st *Stats, workers int) (Result, error) {
+// boolean structure of the formula.
+func detect(comp *computation.Computation, f ctl.Formula, st *Stats) (Result, error) {
 	switch g := f.(type) {
 	case ctl.Not:
-		r, err := detect(comp, g.F, st, workers)
+		r, err := detect(comp, g.F, st)
 		if err != nil {
 			return Result{}, err
 		}
@@ -86,9 +79,9 @@ func detect(comp *computation.Computation, f ctl.Formula, st *Stats, workers int
 		}
 		return out, nil
 	case ctl.And:
-		return detectBinary(comp, g.L, g.R, "&&", st, workers)
+		return detectBinary(comp, g.L, g.R, "&&", st)
 	case ctl.Or:
-		return detectBinary(comp, g.L, g.R, "||", st, workers)
+		return detectBinary(comp, g.L, g.R, "||", st)
 	case ctl.Atom:
 		st.cuts(1)
 		st.evals(1)
@@ -119,7 +112,7 @@ func detect(comp *computation.Computation, f ctl.Formula, st *Stats, workers int
 		if err != nil {
 			return Result{}, err
 		}
-		return detectAG(comp, p, st, workers), nil
+		return detectAG(comp, p, st), nil
 	case ctl.EU:
 		p, err := compilePred(comp, g.P)
 		if err != nil {
@@ -129,7 +122,7 @@ func detect(comp *computation.Computation, f ctl.Formula, st *Stats, workers int
 		if err != nil {
 			return Result{}, err
 		}
-		return detectEU(comp, p, q, st, workers), nil
+		return detectEU(comp, p, q, st), nil
 	case ctl.AU:
 		p, err := compilePred(comp, g.P)
 		if err != nil {
@@ -139,14 +132,14 @@ func detect(comp *computation.Computation, f ctl.Formula, st *Stats, workers int
 		if err != nil {
 			return Result{}, err
 		}
-		return detectAU(comp, p, q, st, workers), nil
+		return detectAU(comp, p, q, st), nil
 	default:
 		return Result{}, fmt.Errorf("core: unsupported formula %T", f)
 	}
 }
 
-func detectBinary(comp *computation.Computation, l, r ctl.Formula, op string, st *Stats, workers int) (Result, error) {
-	a, err := detect(comp, l, st, workers)
+func detectBinary(comp *computation.Computation, l, r ctl.Formula, op string, st *Stats) (Result, error) {
+	a, err := detect(comp, l, st)
 	if err != nil {
 		return Result{}, err
 	}
@@ -163,7 +156,7 @@ func detectBinary(comp *computation.Computation, l, r ctl.Formula, op string, st
 	// right operand's — and so is its evidence (a witness for an And both
 	// conjuncts satisfy, a counterexample for an Or both disjuncts fail;
 	// the right operand's evidence is the one attributable to this node).
-	b, err := detect(comp, r, st, workers)
+	b, err := detect(comp, r, st)
 	if err != nil {
 		return Result{}, err
 	}
@@ -258,7 +251,7 @@ func detectAF(comp *computation.Computation, p *pir.Pred, st *Stats) Result {
 		return Result{Holds: holds, Algorithm: c.Algorithm}
 	case pir.KindDisjunctiveDualA1:
 		nl, _ := p.Bind(comp).DisjunctiveComplement()
-		_, eg := egLinear(comp, nl, st)
+		_, eg := egLinear(comp, nl, comp.FinalCut(), st)
 		return Result{Holds: !eg, Algorithm: c.Algorithm}
 	case pir.KindObserverWalk:
 		oi, _ := p.ObserverBody()
@@ -278,7 +271,7 @@ func detectEG(comp *computation.Computation, p *pir.Pred, st *Stats) Result {
 		return Result{Holds: egStable(comp, s, st), Algorithm: c.Algorithm}
 	case pir.KindLinearA1:
 		l, _ := p.Bind(comp).Linear()
-		path, holds := egLinear(comp, l, st)
+		path, holds := egLinear(comp, l, comp.FinalCut(), st)
 		return Result{Holds: holds, Algorithm: c.Algorithm, Witness: path}
 	case pir.KindDisjunctiveDualBoxes:
 		d, _ := p.Disjunctive()
@@ -294,7 +287,7 @@ func detectEG(comp *computation.Computation, p *pir.Pred, st *Stats) Result {
 	}
 }
 
-func detectAG(comp *computation.Computation, p *pir.Pred, st *Stats, workers int) Result {
+func detectAG(comp *computation.Computation, p *pir.Pred, st *Stats) Result {
 	c := pir.Choose(pir.OpAG, p)
 	st.choice(c)
 	switch c.Kind {
@@ -304,7 +297,7 @@ func detectAG(comp *computation.Computation, p *pir.Pred, st *Stats, workers int
 	case pir.KindSplitAnd:
 		// AG distributes over conjunction: AG(a ∧ b) = AG(a) ∧ AG(b).
 		for _, part := range p.P.(predicate.And).Ps {
-			if sub := detectAG(comp, pir.FromPredicate(part), st, workers); !sub.Holds {
+			if sub := detectAG(comp, pir.FromPredicate(part), st); !sub.Holds {
 				sub.Algorithm = "AG over ∧: split per conjunct (" + sub.Algorithm + ")"
 				return sub // carries the counterexample when present
 			}
@@ -312,7 +305,7 @@ func detectAG(comp *computation.Computation, p *pir.Pred, st *Stats, workers int
 		return Result{Holds: true, Algorithm: c.Algorithm}
 	case pir.KindLinearA2:
 		l, _ := p.Bind(comp).Linear()
-		cex, holds := agLinearParallel(comp, l, st, workers)
+		cex, holds := agLinear(comp, l, st)
 		return Result{Holds: holds, Algorithm: c.Algorithm, Counterexample: cex}
 	case pir.KindDisjunctiveDualLeast:
 		r := Result{Algorithm: c.Algorithm}
@@ -327,7 +320,7 @@ func detectAG(comp *computation.Computation, p *pir.Pred, st *Stats, workers int
 		return r
 	case pir.KindPostLinearA2Dual:
 		pl, _ := p.Bind(comp).PostLinear()
-		cex, holds := agPostLinearParallel(comp, pl, st, workers)
+		cex, holds := agPostLinear(comp, pl, st)
 		return Result{Holds: holds, Algorithm: c.Algorithm, Counterexample: cex}
 	case pir.KindSliceFactor:
 		// AG(¬q) = ¬EF(q): run the sliced search on q = factor ∧ rest.
@@ -340,20 +333,20 @@ func detectAG(comp *computation.Computation, p *pir.Pred, st *Stats, workers int
 	}
 }
 
-func detectEU(comp *computation.Computation, p, q *pir.Pred, st *Stats, workers int) Result {
+func detectEU(comp *computation.Computation, p, q *pir.Pred, st *Stats) Result {
 	c := pir.ChooseUntil(pir.OpEU, p, q)
 	st.choice(c)
 	switch c.Kind {
 	case pir.KindUntilA3:
-		cp, _ := p.Conjunctive()
+		lp, _ := p.Bind(comp).Linear()
 		lq, _ := q.Bind(comp).Linear()
-		path, holds := euConjLinearParallel(comp, cp, lq, st, workers)
+		path, holds := euConjLinear(comp, lp, lq, st)
 		return Result{Holds: holds, Algorithm: c.Algorithm, Witness: path}
 	case pir.KindUntilSplitOr:
 		// The target distributes over disjunction for existential until:
 		// E[p U (a ∨ b)] = E[p U a] ∨ E[p U b].
 		for _, part := range q.P.(predicate.Or).Ps {
-			if sub := detectEU(comp, p, pir.FromPredicate(part), st, workers); sub.Holds {
+			if sub := detectEU(comp, p, pir.FromPredicate(part), st); sub.Holds {
 				sub.Algorithm = "EU target over ∨: split (" + sub.Algorithm + ")"
 				return sub
 			}
@@ -362,7 +355,7 @@ func detectEU(comp *computation.Computation, p, q *pir.Pred, st *Stats, workers 
 	case pir.KindUntilSplitDisj:
 		// A disjunctive target splits into its locals the same way.
 		for _, l := range q.P.(predicate.Disjunctive).Locals {
-			if sub := detectEU(comp, p, pir.FromPredicate(predicate.Conj(l)), st, workers); sub.Holds {
+			if sub := detectEU(comp, p, pir.FromPredicate(predicate.Conj(l)), st); sub.Holds {
 				sub.Algorithm = "EU target over disj: split (" + sub.Algorithm + ")"
 				return sub
 			}
@@ -373,13 +366,13 @@ func detectEU(comp *computation.Computation, p, q *pir.Pred, st *Stats, workers 
 	}
 }
 
-func detectAU(comp *computation.Computation, p, q *pir.Pred, st *Stats, workers int) Result {
+func detectAU(comp *computation.Computation, p, q *pir.Pred, st *Stats) Result {
 	c := pir.ChooseUntil(pir.OpAU, p, q)
 	st.choice(c)
 	if c.Kind == pir.KindUntilAUComposition {
 		dp, _ := p.Disjunctive()
 		dq, _ := q.Disjunctive()
-		return Result{Holds: auDisjunctive(comp, dp, dq, st, workers), Algorithm: c.Algorithm}
+		return Result{Holds: auDisjunctive(comp, dp, dq, st), Algorithm: c.Algorithm}
 	}
 	return Result{Holds: auArbitrary(comp, p.P, q.P, st), Algorithm: c.Algorithm}
 }

@@ -127,26 +127,6 @@ func (s *Stats) sliceCuts(n int64) {
 	}
 }
 
-// merge folds a worker's private counters into s — the join step of the
-// parallel runner's batched-publish discipline (hot loops increment plain
-// per-worker Stats; only the merge after the join touches shared state).
-// Algorithm, WitnessLength and Duration are per-run fields and stay.
-func (s *Stats) merge(o *Stats) {
-	if s == nil {
-		return
-	}
-	s.CutsVisited += o.CutsVisited
-	s.PredicateEvals += o.PredicateEvals
-	s.ForbiddenCalls += o.ForbiddenCalls
-	s.AdvancementSteps += o.AdvancementSteps
-	s.MemoHits += o.MemoHits
-	s.ShortCircuits += o.ShortCircuits
-	s.SliceBuild += o.SliceBuild
-	s.SliceEventsKept += o.SliceEventsKept
-	s.SliceEventsEliminated += o.SliceEventsEliminated
-	s.SliceCutsEnumerated += o.SliceCutsEnumerated
-}
-
 // Engine-wide metrics, fed once per Detect run (batched from the per-run
 // Stats, so the per-cut loops never touch an atomic).
 var (

@@ -22,31 +22,31 @@ func EUConjLinear(comp *computation.Computation, p predicate.Conjunctive, q pred
 	return euConjLinear(comp, p, q, nil)
 }
 
-func euConjLinear(comp *computation.Computation, p predicate.Conjunctive, q predicate.Linear, st *Stats) (path []computation.Cut, ok bool) {
+// euConjLinear takes p as any evaluator of a conjunctive predicate — the
+// dispatcher passes its bitset lowering. Step 2 runs A1 on the sub-lattice
+// [∅, g] of comp itself: the cuts below g are exactly the cuts of the
+// prefix computation g, with the same local states.
+func euConjLinear(comp *computation.Computation, p predicate.Predicate, q predicate.Linear, st *Stats) (path []computation.Cut, ok bool) {
 	// Step 1: find I_q.
 	iq, ok := leastCut(comp, q, st)
 	if !ok {
 		return nil, false // q holds nowhere, so no until-prefix can end
 	}
-	if iq.Equal(comp.InitialCut()) {
+	if iq.Size() == 0 {
 		return []computation.Cut{iq}, true // q holds initially (k = 0 prefix)
 	}
 	// Step 2: EG(p) on each one-event-smaller prefix of I_q.
+	g := iq.Copy()
 	for i := range iq {
 		if !comp.MaximalEvent(iq, i) {
 			continue
 		}
-		g := iq.Copy()
 		g[i]--
-		sub := comp.Prefix(g)
-		if egPath, holds := egLinear(sub, p, st); holds {
+		if egPath, holds := egLinear(comp, p, g, st); holds {
 			// Extend the witness through I_q itself.
-			full := make([]computation.Cut, 0, len(egPath)+1)
-			for _, c := range egPath {
-				full = append(full, c.Copy())
-			}
-			return append(full, iq), true
+			return append(egPath, iq), true
 		}
+		g[i]++
 	}
 	return nil, false
 }
@@ -66,16 +66,16 @@ func euConjLinear(comp *computation.Computation, p predicate.Conjunctive, q pred
 // ¬p ∧ ¬q is conjunctive, hence linear (detected by Algorithm A3 under EU).
 // Total cost O(n|E|) predicate evaluations.
 func AUDisjunctive(comp *computation.Computation, p, q predicate.Disjunctive) bool {
-	return auDisjunctive(comp, p, q, nil, 1)
+	return auDisjunctive(comp, p, q, nil)
 }
 
-func auDisjunctive(comp *computation.Computation, p, q predicate.Disjunctive, st *Stats, workers int) bool {
+func auDisjunctive(comp *computation.Computation, p, q predicate.Disjunctive, st *Stats) bool {
 	notQ := q.Negate()
-	if _, eg := egLinear(comp, notQ, st); eg {
+	if _, eg := egLinear(comp, notQ, comp.FinalCut(), st); eg {
 		return false // some full path avoids q entirely
 	}
 	bad := predicate.MergeConj(p.Negate(), notQ)
-	if _, eu := euConjLinearParallel(comp, notQ, bad, st, workers); eu {
+	if _, eu := euConjLinear(comp, notQ, bad, st); eu {
 		return false // some path reaches ¬p∧¬q with q never seen before
 	}
 	return true

@@ -206,11 +206,7 @@ func lowerConj(comp *computation.Computation, c predicate.Conjunctive, st *Lower
 		}
 		if bits == nil {
 			bits = make([]uint64, words)
-			for k := 0; k < n; k++ {
-				if l.HoldsAt(comp, k) {
-					bits[k>>6] |= 1 << (uint(k) & 63)
-				}
-			}
+			fillBits(comp, l, bits, n)
 			if internable {
 				intern[key] = bits
 			}
@@ -247,6 +243,44 @@ func lowerConj(comp *computation.Computation, c predicate.Conjunctive, st *Lower
 		st.Procs = len(order)
 	}
 	return lc
+}
+
+// fillBits sets bit k of bits for each local state k < n of l's process
+// where l holds. A comparison, bare or negated, reads its value column once
+// (an undefined variable reads 0, as Computation.Value does); any other
+// local predicate is asked state by state.
+func fillBits(comp *computation.Computation, l predicate.LocalPredicate, bits []uint64, n int) {
+	cmp, negated, ok := comparison(l)
+	if !ok {
+		for k := 0; k < n; k++ {
+			if l.HoldsAt(comp, k) {
+				bits[k>>6] |= 1 << (uint(k) & 63)
+			}
+		}
+		return
+	}
+	col, _ := comp.Column(cmp.Proc, cmp.Var)
+	for k := 0; k < n; k++ {
+		v := 0
+		if col != nil {
+			v = col[k]
+		}
+		if cmp.Op.Holds(v, cmp.K) != negated {
+			bits[k>>6] |= 1 << (uint(k) & 63)
+		}
+	}
+}
+
+// comparison returns l as a variable comparison, possibly negated.
+func comparison(l predicate.LocalPredicate) (c predicate.VarCmp, negated, ok bool) {
+	switch q := l.(type) {
+	case predicate.VarCmp:
+		return q, false, true
+	case predicate.NotLocal:
+		c, ok = q.P.(predicate.VarCmp)
+		return c, true, ok
+	}
+	return c, false, false
 }
 
 // Restrict returns a copy of the evaluator whose per-process bitsets are

@@ -75,81 +75,80 @@ func driveOneFrame(t *testing.T) func(addr string) {
 
 // TestSpanPropagationGolden pins the span tree of a single frame's full
 // server traversal: names in allocation order, parent links, trace
-// identity, and stage completion order. The tree must not depend on the
-// snapshot worker count.
+// identity, and stage completion order.
 func TestSpanPropagationGolden(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			spans := collectSpans(t, server.Config{Workers: workers}, driveOneFrame(t))
+	// Snapshot queries run on the session's monitor goroutine, so the
+	// server has one detection worker.
+	t.Run("workers=1", func(t *testing.T) {
+		spans := collectSpans(t, server.Config{}, driveOneFrame(t))
 
-			// Span ids are allocated from a per-tracer counter, so sorting
-			// by id recovers allocation order regardless of end order.
-			byAlloc := append([]obs.SpanRecord(nil), spans...)
-			sort.Slice(byAlloc, func(a, b int) bool { return byAlloc[a].ID < byAlloc[b].ID })
-			var names []string
-			for _, r := range byAlloc {
-				names = append(names, r.Span)
-			}
-			want := []string{
-				"session", "accept",
-				"decode", "frame", "enqueue", "apply", "verdict", // the event
-				"decode", "frame", "enqueue", "apply", // the snapshot
-				"decode", // the bye
-			}
-			if fmt.Sprint(names) != fmt.Sprint(want) {
-				t.Fatalf("allocation order:\n got %v\nwant %v", names, want)
-			}
+		// Span ids are allocated from a per-tracer counter, so sorting
+		// by id recovers allocation order regardless of end order.
+		byAlloc := append([]obs.SpanRecord(nil), spans...)
+		sort.Slice(byAlloc, func(a, b int) bool { return byAlloc[a].ID < byAlloc[b].ID })
+		var names []string
+		for _, r := range byAlloc {
+			names = append(names, r.Span)
+		}
+		want := []string{
+			"session", "accept",
+			"decode", "frame", "enqueue", "apply", "verdict", // the event
+			"decode", "frame", "enqueue", "apply", // the snapshot
+			"decode", // the bye
+		}
+		if fmt.Sprint(names) != fmt.Sprint(want) {
+			t.Fatalf("allocation order:\n got %v\nwant %v", names, want)
+		}
 
-			// One trace; parent links form the expected tree.
-			byID := make(map[string]obs.SpanRecord, len(spans))
-			for _, r := range spans {
-				byID[r.ID] = r
+		// One trace; parent links form the expected tree.
+		byID := make(map[string]obs.SpanRecord, len(spans))
+		for _, r := range spans {
+			byID[r.ID] = r
+		}
+		session := byAlloc[0]
+		if session.Parent != "" {
+			t.Errorf("session span has parent %q", session.Parent)
+		}
+		for _, r := range spans {
+			if r.Trace != session.Trace {
+				t.Errorf("span %s in trace %q, want %q", r.Span, r.Trace, session.Trace)
 			}
-			session := byAlloc[0]
-			if session.Parent != "" {
-				t.Errorf("session span has parent %q", session.Parent)
+		}
+		parentName := func(r obs.SpanRecord) string { return byID[r.Parent].Span }
+		wantParent := map[string]string{
+			"accept": "session", "decode": "session", "frame": "session",
+			"enqueue": "frame", "apply": "frame", "verdict": "frame",
+		}
+		for _, r := range spans {
+			if r.Span == "session" {
+				continue
 			}
-			for _, r := range spans {
-				if r.Trace != session.Trace {
-					t.Errorf("span %s in trace %q, want %q", r.Span, r.Trace, session.Trace)
-				}
+			if got := parentName(r); got != wantParent[r.Span] {
+				t.Errorf("%s span parented under %q, want %q", r.Span, got, wantParent[r.Span])
 			}
-			parentName := func(r obs.SpanRecord) string { return byID[r.Parent].Span }
-			wantParent := map[string]string{
-				"accept": "session", "decode": "session", "frame": "session",
-				"enqueue": "frame", "apply": "frame", "verdict": "frame",
-			}
-			for _, r := range spans {
-				if r.Span == "session" {
-					continue
-				}
-				if got := parentName(r); got != wantParent[r.Span] {
-					t.Errorf("%s span parented under %q, want %q", r.Span, got, wantParent[r.Span])
-				}
-			}
+		}
 
-			// The event frame's stages complete in pipeline order: enqueue
-			// before verdict before apply before the frame span itself
-			// (apply ends after the verdicts it latched; the frame span
-			// closes last). Ring order is end order.
-			idx := map[string]int{}
-			frameID := byAlloc[3].ID
-			for i, r := range spans {
-				if r.ID == frameID || r.Parent == frameID {
-					idx[r.Span] = i
-				}
+		// The event frame's stages complete in pipeline order: enqueue
+		// before verdict before apply before the frame span itself
+		// (apply ends after the verdicts it latched; the frame span
+		// closes last). Ring order is end order.
+		idx := map[string]int{}
+		frameID := byAlloc[3].ID
+		for i, r := range spans {
+			if r.ID == frameID || r.Parent == frameID {
+				idx[r.Span] = i
 			}
-			if !(idx["enqueue"] < idx["verdict"] && idx["verdict"] < idx["apply"] && idx["apply"] < idx["frame"]) {
-				t.Errorf("stage completion order wrong: %v", idx)
-			}
+		}
+		if !(idx["enqueue"] < idx["verdict"] && idx["verdict"] < idx["apply"] && idx["apply"] < idx["frame"]) {
+			t.Errorf("stage completion order wrong: %v", idx)
+		}
 
-			// The verdict span carries the watch identity.
-			verdict := byAlloc[6]
-			if verdict.Attrs["op"] != "EF" || verdict.Attrs["service"] != "monitor" {
-				t.Errorf("verdict attrs = %v", verdict.Attrs)
-			}
-		})
-	}
+		// The verdict span carries the watch identity.
+		verdict := byAlloc[6]
+		if verdict.Attrs["op"] != "EF" || verdict.Attrs["service"] != "monitor" {
+			t.Errorf("verdict attrs = %v", verdict.Attrs)
+		}
+	})
 }
 
 // TestDogfoodSpansRoundTrip closes the loop: the server's own pipeline

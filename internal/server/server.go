@@ -84,10 +84,6 @@ type Config struct {
 	// IngestDelay adds an artificial per-event processing delay in the
 	// monitor loop — for demos and backpressure testing.
 	IngestDelay time.Duration
-	// Workers is the parallel budget snapshot queries hand to the
-	// sweep-shaped detection algorithms (default 1; negative values are
-	// treated as 1 so a zero-value Config stays sequential).
-	Workers int
 	// Registry receives the hb_server_* metrics (nil → obs.Default()).
 	Registry *obs.Registry
 	// Cluster, when non-nil, turns this server into one node of a
@@ -185,9 +181,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = 1024
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
 	}
 	if cfg.ReadTimeout == 0 {
 		cfg.ReadTimeout = 5 * time.Minute

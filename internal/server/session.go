@@ -837,7 +837,7 @@ func (s *Session) handleSnapshot(f inFrame) {
 		s.reject(f, err.Error())
 		return
 	}
-	res, err := core.DetectParallel(s.mon.Snapshot(), fl, s.srv.cfg.Workers)
+	res, err := core.Detect(s.mon.Snapshot(), fl)
 	if err != nil {
 		s.reject(f, err.Error())
 		return
