@@ -37,3 +37,16 @@ func TestCheckWatchesAllocatesNothingUnlatched(t *testing.T) {
 		t.Fatalf("%d frames latched, want none", len(s.frames))
 	}
 }
+
+// ndjsonEventLine is one event frame of the ingest-ndjson benchmark
+// workload, as the client writes it.
+var ndjsonEventLine = []byte(`{"type":"event","seq":4242,"proc":3,"kind":"send","msg":1234,"sets":{"step":812,"tok":2,"x":5}}`)
+
+func BenchmarkDecodeClientFrame(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeClientFrame(ndjsonEventLine); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

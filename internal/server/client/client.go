@@ -194,7 +194,7 @@ type Session struct {
 	// init/event frames until a flush turns them into one batch frame;
 	// enc interns variable names per connection (reset on every
 	// (re)connect, mirroring the server's per-connection decode table);
-	// pbuf/wbuf are reused encode buffers.
+	// pbuf/wbuf are reused encode buffers, wbuf for NDJSON lines too.
 	pending *pir.Batch
 	enc     pir.VarTable
 	pbuf    []byte
@@ -420,7 +420,8 @@ func (s *Session) connect(addr string, first server.ClientFrame) (net.Conn, *ser
 		return nil, nil, zero, fmt.Errorf("client: %w", err)
 	}
 	conn.SetDeadline(time.Now().Add(s.cfg.DialTimeout))
-	if err := writeClientFrame(conn, first); err != nil {
+	var buf []byte
+	if err := writeClientFrame(conn, &buf, first); err != nil {
 		conn.Close()
 		return nil, nil, zero, fmt.Errorf("client: handshake: %w", err)
 	}
@@ -751,7 +752,7 @@ func (s *Session) writeWire(conn net.Conn, f server.ClientFrame) error {
 		_, err := conn.Write(s.wbuf)
 		return err
 	}
-	return writeClientFrame(conn, f)
+	return writeClientFrame(conn, &s.wbuf, f)
 }
 
 // read is the frame reader for one connection: it routes acks to the
@@ -1034,13 +1035,13 @@ func (s *Session) adopt(conn net.Conn, sc *server.FrameScanner, serverSeq int64,
 		}
 	}
 	for _, f := range pending {
-		if writeClientFrame(conn, f) != nil {
+		if writeClientFrame(conn, &s.wbuf, f) != nil {
 			conn.Close()
 			return false
 		}
 	}
 	if s.byeSent {
-		if writeClientFrame(conn, server.ClientFrame{Type: server.FrameBye, Seq: s.byeSeq}) != nil {
+		if writeClientFrame(conn, &s.wbuf, server.ClientFrame{Type: server.FrameBye, Seq: s.byeSeq}) != nil {
 			conn.Close()
 			return false
 		}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -71,7 +72,7 @@ func RegisterHTTP(mux *http.ServeMux, srv *Server) {
 			httpError(w, http.StatusNotFound, "no such session")
 			return
 		}
-		sc := NewFrameScanner(io.LimitReader(r.Body, 64*MaxFrameBytes))
+		sc := NewFrameScanner(http.MaxBytesReader(w, r.Body, 64*MaxFrameBytes))
 		for sc.Scan() {
 			if len(sc.Bytes()) == 0 {
 				continue
@@ -95,6 +96,17 @@ func RegisterHTTP(mux *http.ServeMux, srv *Server) {
 				httpError(w, http.StatusGone, "session closed")
 				return
 			}
+		}
+		// A line over MaxFrameBytes or a failed read ends the scan early:
+		// the lines after it were not ingested, so the request failed.
+		if err := sc.Err(); err != nil {
+			srv.met.protoErrors.Inc()
+			status, code := http.StatusBadRequest, ""
+			if errors.Is(err, ErrFrameTooLong) {
+				status, code = http.StatusRequestEntityTooLarge, CodeFrameTooLong
+			}
+			writeJSON(w, status, ServerFrame{Type: FrameError, Code: code, Error: "read body: " + err.Error()})
+			return
 		}
 		// Barrier: the ack's accounting must cover the batch it acks.
 		if err := sess.Flush(); err != nil {

@@ -143,6 +143,27 @@ func TestHTTPErrors(t *testing.T) {
 	do(t, "POST", ts.URL+"/api/sessions", `{"processes":1000000}`, http.StatusBadRequest)
 }
 
+// TestHTTPEventsFrameTooLong: a line over MaxFrameBytes fails the whole
+// request with a typed 413 instead of ending the scan early and acking
+// as if the body had been read; the lines before it were ingested.
+func TestHTTPEventsFrameTooLong(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, ts := startHTTP(t, server.Config{Registry: reg})
+	welcome := do(t, "POST", ts.URL+"/api/sessions", `{"processes":1}`, http.StatusCreated)
+	base := ts.URL + "/api/sessions/" + welcome.Session
+	body := `{"type":"event","proc":1}` + "\n" + strings.Repeat("x", server.MaxFrameBytes+1) + "\n" + `{"type":"event","proc":1}` + "\n"
+	fr := do(t, "POST", base+"/events", body, http.StatusRequestEntityTooLarge)
+	if fr.Type != server.FrameError || fr.Code != server.CodeFrameTooLong {
+		t.Fatalf("got %+v, want a %s error frame", fr, server.CodeFrameTooLong)
+	}
+	if got := do(t, "DELETE", base, "", http.StatusOK).Events; got != 1 {
+		t.Fatalf("session applied %d events, want the 1 before the long line", got)
+	}
+	if got := reg.Counter("hb_server_protocol_errors_total", "").Value(); got != 1 {
+		t.Fatalf("%d protocol errors counted, want 1", got)
+	}
+}
+
 func itoa(n int) string {
 	return string(rune('0' + n))
 }

@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"repro/internal/computation"
+	"repro/internal/jsonscan"
 )
 
 // Version is the current trace format version.
@@ -205,10 +206,12 @@ func Decode(r io.Reader) (*computation.Computation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	d := decoder{scanner: scanner{data: data}}
+	d := decoder{Scanner: jsonscan.Scanner{Prefix: "trace: "}}
+	d.Reset(data)
 	comp, err := d.decode()
 	if err == errGeneral {
-		d = decoder{scanner: scanner{data: data, names: d.names}, general: true}
+		d = decoder{Scanner: d.Scanner, general: true}
+		d.Reset(data)
 		comp, err = d.decode()
 	}
 	return comp, err
