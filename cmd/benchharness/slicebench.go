@@ -19,7 +19,7 @@ import (
 //  1. slice construction: the naive per-event advancement vs the
 //     incremental builder, over wide and deep traces,
 //  2. slice-routed detection: EF(conj ∧ arbitrary) through the factor's
-//     slice sublattice vs the unsliced memoized exponential search,
+//     slice sublattice vs the unsliced exponential search,
 //  3. bounded on-line monitors: slice-cursor state vs full prefix
 //     retention.
 func runSlice() {
@@ -97,7 +97,7 @@ func slicesAgree(a, b *slice.Slice) bool {
 }
 
 // sliceDetection pits the slice-routed EF(conj ∧ arbitrary) dispatch
-// against the unsliced memoized exponential search on the same predicate.
+// against the unsliced exponential search on the same predicate.
 // With a remainder that is false everywhere the unsliced search must
 // exhaust the cut lattice before answering; the sliced search only visits
 // the factor's sublattice. A second pass uses a remainder that becomes

@@ -13,6 +13,6 @@ import (
 // is trusted and detection pays nothing. See crosscheck_race.go.
 func crossCheckClass(*computation.Computation, *pir.Pred) error { return nil }
 
-// crossCheckSliceVerdict compares sliced vs. unsliced EF verdicts in
-// race-enabled builds; free otherwise. See crosscheck_race.go.
-func crossCheckSliceVerdict(*computation.Computation, predicate.Predicate, bool) {}
+// crossCheckSliceVerdict checks sliced EF evidence against the explicit
+// lattice in race-enabled builds; free otherwise. See crosscheck_race.go.
+func crossCheckSliceVerdict(*computation.Computation, predicate.Predicate, computation.Cut, bool) {}

@@ -4,6 +4,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/computation"
 	"repro/internal/explore"
@@ -31,16 +32,26 @@ func crossCheckClass(comp *computation.Computation, p *pir.Pred) error {
 	return explore.CrossCheckIR(l, p)
 }
 
-// crossCheckSliceVerdict compares the sliced EF verdict against the
-// unsliced exponential solver on small computations. A mismatch means the
-// slice search missed (or invented) a satisfying cut — slice unsoundness,
-// not an input fault — so it panics rather than returning an error.
-func crossCheckSliceVerdict(comp *computation.Computation, whole predicate.Predicate, sliced bool) {
+// crossCheckSliceVerdict compares the sliced EF verdict and witness with
+// the explicit lattice, which shares no code with the lexical walk, on
+// small computations: the witness must be the lexically least cut
+// satisfying whole. A mismatch is slice unsoundness, not an input fault,
+// so it panics rather than returning an error.
+func crossCheckSliceVerdict(comp *computation.Computation, whole predicate.Predicate, cut computation.Cut, sliced bool) {
 	if comp.TotalEvents() > 10 || comp.N() > 4 {
 		return
 	}
-	if unsliced := efArbitrary(comp, whole, nil); unsliced != sliced {
-		panic(fmt.Sprintf("core: sliced EF verdict %v disagrees with unsliced %v for %s",
-			sliced, unsliced, whole))
+	l, err := lattice.BuildLimited(comp, 4096)
+	if err != nil {
+		return
+	}
+	var least computation.Cut
+	for _, i := range l.Sat(whole) {
+		if c := l.Cut(i); least == nil || slices.Compare(c, least) < 0 {
+			least = c
+		}
+	}
+	if (least != nil) != sliced || !least.Equal(cut) {
+		panic(fmt.Sprintf("core: sliced EF %v at %v, but the lattice's least satisfying cut is %v for %s", sliced, cut, least, whole))
 	}
 }

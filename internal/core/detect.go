@@ -193,49 +193,43 @@ func compilePred(comp *computation.Computation, f ctl.Formula) (*pir.Pred, error
 func detectEF(comp *computation.Computation, p *pir.Pred, st *Stats) Result {
 	c := pir.Choose(pir.OpEF, p)
 	st.choice(c)
+	var cut computation.Cut // the witness, for a cell that stops at one
+	var holds bool
 	switch c.Kind {
 	case pir.KindStableFinal:
 		s, _ := p.Stable()
-		return Result{Holds: efStable(comp, s, st), Algorithm: c.Algorithm}
+		holds = efStable(comp, s, st)
 	case pir.KindSplitOr:
 		// EF distributes over disjunction: EF(a ∨ b) = EF(a) ∨ EF(b), so a
 		// disjunction of structurally-detectable predicates stays polynomial.
-		holds := false
 		for _, part := range p.P.(predicate.Or).Ps {
-			if sub := detectEF(comp, pir.FromPredicate(part), st); sub.Holds {
-				holds = true
+			if holds = detectEF(comp, pir.FromPredicate(part), st).Holds; holds {
 				break
 			}
 		}
-		return Result{Holds: holds, Algorithm: c.Algorithm}
 	case pir.KindDisjunctiveScan:
 		d, _ := p.Disjunctive()
-		return Result{Holds: efDisjunctive(comp, d, st), Algorithm: c.Algorithm}
+		holds = efDisjunctive(comp, d, st)
 	case pir.KindLinearLeast:
 		l, _ := p.Bind(comp).Linear()
-		cut, holds := leastCut(comp, l, st)
-		r := Result{Holds: holds, Algorithm: c.Algorithm}
-		if holds {
-			r.Witness = []computation.Cut{cut}
-		}
-		return r
+		cut, holds = leastCut(comp, l, st)
 	case pir.KindPostLinearGreatest:
 		pl, _ := p.Bind(comp).PostLinear()
-		cut, holds := greatestCut(comp, pl, st)
-		r := Result{Holds: holds, Algorithm: c.Algorithm}
-		if holds {
-			r.Witness = []computation.Cut{cut}
-		}
-		return r
+		cut, holds = greatestCut(comp, pl, st)
 	case pir.KindObserverWalk:
 		oi, _ := p.ObserverBody()
-		return Result{Holds: detectObserverIndependent(comp, oi, st), Algorithm: c.Algorithm}
+		holds = detectObserverIndependent(comp, oi, st)
 	case pir.KindSliceFactor:
 		factor, rest, _ := p.Bind(comp).SliceFactor()
-		return Result{Holds: efSliceFactor(comp, factor, rest, p.P, st), Algorithm: c.Algorithm}
+		cut, holds = efSliceFactor(comp, factor, rest, p.P, st)
 	default:
-		return Result{Holds: efArbitrary(comp, p.P, st), Algorithm: c.Algorithm}
+		cut, holds = efArbitrary(comp, p.P, st)
 	}
+	r := Result{Holds: holds, Algorithm: c.Algorithm}
+	if holds && cut != nil {
+		r.Witness = []computation.Cut{cut}
+	}
+	return r
 }
 
 func detectAF(comp *computation.Computation, p *pir.Pred, st *Stats) Result {
@@ -326,10 +320,12 @@ func detectAG(comp *computation.Computation, p *pir.Pred, st *Stats) Result {
 		// AG(¬q) = ¬EF(q): run the sliced search on q = factor ∧ rest.
 		factor, rest, _ := p.Bind(comp).NegatedSliceFactor()
 		inner := p.P.(predicate.Not).P
-		return Result{Holds: !efSliceFactor(comp, factor, rest, inner, st), Algorithm: c.Algorithm}
+		cex, found := efSliceFactor(comp, factor, rest, inner, st)
+		return Result{Holds: !found, Algorithm: c.Algorithm, Counterexample: cex}
 	default:
 		// Theorem 6: co-NP-complete already for observer-independent predicates.
-		return Result{Holds: !efArbitrary(comp, predicate.Not{P: p.P}, st), Algorithm: c.Algorithm}
+		cex, found := efArbitrary(comp, predicate.Not{P: p.P}, st)
+		return Result{Holds: !found, Algorithm: c.Algorithm, Counterexample: cex}
 	}
 }
 

@@ -15,82 +15,50 @@ import (
 // cut-space search.
 //
 // Soundness rests on the Mittal–Garg characterization: a conjunctive
-// predicate is regular, so its satisfying cuts form a sublattice generated
-// by the least satisfying cut I_p and the per-event least cuts J_p(e).
-// Every cut of that sublattice is reachable from I_p by joins with
-// J_p(next event), so the search below enumerates exactly the factor's
-// satisfying cuts — EF(factor ∧ rest) holds iff rest holds at one of them.
-// Events whose J is nil appear in no satisfying cut and are never visited.
+// predicate is regular, so its satisfying cuts form a sublattice whose
+// least cut is I_p and whose least cut containing event e is J_p(e). The
+// search below lists exactly that sublattice with lexWalk, so EF(factor ∧
+// rest) holds iff rest holds at one of its cuts. Events whose J is nil
+// appear in no satisfying cut and are never visited.
 //
-// The phase returns a bare verdict, matching the exponential solvers it
-// replaces (they return bool, no witness), so Result evidence is
-// bit-identical to the unsliced dispatch.
+// The evidence is the lexically least cut satisfying factor ∧ rest: the
+// unsliced solver walks in the same order and stops at the same cut.
 
 // efSliceFactor decides EF(factor ∧ rest) over the factor's slice. whole
 // is the original predicate factor ∧ rest, used only by the race-build
-// cross-check against the unsliced solver.
-func efSliceFactor(comp *computation.Computation, factor predicate.Linear, rest, whole predicate.Predicate, st *Stats) bool {
+// cross-check against the explicit lattice.
+func efSliceFactor(comp *computation.Computation, factor predicate.Linear, rest, whole predicate.Predicate, st *Stats) (computation.Cut, bool) {
 	start := time.Now()
 	sl := slice.NewIncremental(comp, factor)
 	st.sliceBuild(time.Since(start))
 	kept, eliminated := sl.Counts()
 	st.sliceEvents(int64(kept), int64(eliminated))
 
-	holds := searchSlice(comp, sl, factor, rest, st)
-	crossCheckSliceVerdict(comp, whole, holds)
-	return holds
+	cut, holds := searchSlice(comp, sl, factor, rest, st)
+	crossCheckSliceVerdict(comp, whole, cut, holds)
+	return cut, holds
 }
 
-// searchSlice enumerates the slice sublattice from I_p by J-joins,
-// evaluating the arbitrary remainder at each cut.
-func searchSlice(comp *computation.Computation, sl *slice.Slice, factor predicate.Linear, rest predicate.Predicate, st *Stats) bool {
+// searchSlice lists the slice sublattice in lexical order and returns the
+// first cut where the arbitrary remainder holds.
+func searchSlice(comp *computation.Computation, sl *slice.Slice, factor predicate.Linear, rest predicate.Predicate, st *Stats) (computation.Cut, bool) {
 	ip, ok := sl.Least()
 	if !ok {
-		return false // factor unsatisfiable: no cut satisfies the conjunction
+		return nil, false // factor unsatisfiable: no cut satisfies the conjunction
 	}
 	guard := sliceGuard(comp, sl, factor)
-
-	// The walk allocates nothing per cut: each J-join lands in next, a cut
-	// is copied onto the flat stack only when the index first sees it, and
-	// pops land in cut. LIFO pops with successors pushed in process order
-	// fix the visiting order, hence every count and early exit.
-	n := comp.N()
-	seen := computation.NewCutIndex(comp)
-	seen.Insert(ip)
-	stack := append(make([]int, 0, 64*n), ip...)
-	cut, next := make(computation.Cut, n), make(computation.Cut, n)
-	for len(stack) > 0 {
-		copy(cut, stack[len(stack)-n:])
-		stack = stack[:len(stack)-n]
+	return lexWalk(comp, ip, sl.J, func(cut computation.Cut) bool {
 		st.cuts(1)
 		st.sliceCuts(1)
 		// One word test per process confirms the cut stayed inside the
 		// slice (guards against a factor/slice mismatch); any cut failing
 		// it fails the factor, so skipping it is sound.
 		if guard != nil && !guard.Eval(comp, cut) {
-			continue
+			return false
 		}
 		st.evals(1)
-		if rest.Eval(comp, cut) {
-			return true
-		}
-		for i := range cut {
-			if cut[i] >= comp.Len(i) {
-				continue
-			}
-			jc, ok := sl.J(i, cut[i]+1)
-			if !ok {
-				continue // event eliminated: no satisfying cut contains it
-			}
-			for k := range next {
-				next[k] = max(cut[k], jc[k])
-			}
-			if _, added := seen.Insert(next); added {
-				stack = append(stack, next...)
-			}
-		}
-	}
-	return false
+		return rest.Eval(comp, cut)
+	})
 }
 
 // sliceGuard builds the slice-restricted evaluator for the factor when its

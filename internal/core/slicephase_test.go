@@ -31,22 +31,45 @@ func edgeShape(n, events, keep int, seed int64) (*computation.Computation, predi
 	return comp, factor, rest
 }
 
-// TestSearchSliceAllocs bounds the slice search's allocations: its setup
-// (the guard, the index's doublings, the stack's growth) is a few dozen
-// allocations, and a visited cut costs none.
+// TestSearchSliceAllocs pins the slice search's allocations at n=8 to six
+// (one for the walk's cut and prefix-join table, five for the guard), the
+// same on a slice of 144 cuts and on one of 3 969: a visited cut costs
+// none.
 func TestSearchSliceAllocs(t *testing.T) {
-	comp, factor, rest := edgeShape(8, 96, 2, 0)
-	sl := slice.NewIncremental(comp, factor)
-	var st Stats
-	if searchSlice(comp, sl, factor, rest, &st) {
-		t.Fatal("the remainder never holds, yet the search found it")
+	for _, keep := range []int{1, 2} {
+		comp, factor, rest := edgeShape(8, 96, keep, 0)
+		sl := slice.NewIncremental(comp, factor)
+		var st Stats
+		if _, ok := searchSlice(comp, sl, factor, rest, &st); ok {
+			t.Fatal("the remainder never holds, yet the search found it")
+		}
+		allocs := testing.AllocsPerRun(5, func() { searchSlice(comp, sl, factor, rest, nil) })
+		t.Logf("keep=%d: %d cuts, %.0f allocations", keep, st.SliceCutsEnumerated, allocs)
+		if allocs != 6 {
+			t.Fatalf("keep=%d: %.0f allocations over %d cuts, want 6", keep, allocs, st.SliceCutsEnumerated)
+		}
 	}
-	if st.SliceCutsEnumerated < 2000 {
-		t.Fatalf("slice of %d cuts; the bound needs a few thousand", st.SliceCutsEnumerated)
-	}
-	allocs := testing.AllocsPerRun(5, func() { searchSlice(comp, sl, factor, rest, nil) })
-	if per := allocs / float64(st.SliceCutsEnumerated); per >= 0.01 {
-		t.Fatalf("%.0f allocations over %d cuts: %.4f per cut, want < 0.01", allocs, st.SliceCutsEnumerated, per)
+}
+
+// efArbitraryShape is a sim computation (n=4) with a predicate that never
+// holds, so efArbitrary visits every consistent cut.
+func efArbitraryShape(events int) (*computation.Computation, predicate.Predicate) {
+	return sim.Random(sim.DefaultRandomConfig(4, events), 0), predicate.False
+}
+
+// TestEFArbitraryAllocs pins efArbitrary's allocations the same way: two
+// (the initial cut, and the walk's cut and prefix-join table) on a lattice
+// of hundreds of cuts and on one of thousands.
+func TestEFArbitraryAllocs(t *testing.T) {
+	for _, events := range []int{16, 60} {
+		comp, p := efArbitraryShape(events)
+		var st Stats
+		efArbitrary(comp, p, &st)
+		allocs := testing.AllocsPerRun(5, func() { efArbitrary(comp, p, nil) })
+		t.Logf("%d events: %d cuts, %.0f allocations", events, st.CutsVisited, allocs)
+		if allocs != 2 {
+			t.Fatalf("%d events: %.0f allocations over %d cuts, want 2", events, allocs, st.CutsVisited)
+		}
 	}
 }
 
@@ -81,6 +104,25 @@ func BenchmarkSearchSlice(b *testing.B) {
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	visited := float64(b.N) * float64(cuts)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/visited, "ns/cut")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/visited, "allocs/cut")
+}
+
+// BenchmarkEFArbitrary is efArbitrary over the whole lattice of a sim
+// computation (n=4, 60 events, p false), reported per visited cut.
+func BenchmarkEFArbitrary(b *testing.B) {
+	comp, p := efArbitraryShape(60)
+	var st Stats
+	efArbitrary(comp, p, &st)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		efArbitrary(comp, p, nil)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	visited := float64(b.N) * float64(st.CutsVisited)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/visited, "ns/cut")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/visited, "allocs/cut")
 }

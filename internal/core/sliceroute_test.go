@@ -15,7 +15,8 @@ import (
 // formulas (a conjunctive factor ∧ an arbitrary remainder, under EF or
 // negated under AG) must route through KindSliceFactor, and the sliced
 // verdict, evidence, and determining prefix must be bit-identical to the
-// unsliced exponential solver and to brute-force lattice enumeration.
+// unsliced exponential solver, and the verdict to brute-force lattice
+// enumeration.
 
 // randomSliceConj builds a random conjunctive factor over comp's variables.
 func randomSliceConj(rng *rand.Rand, comp *computation.Computation) predicate.Conjunctive {
@@ -117,7 +118,7 @@ func TestSliceRoutedDetectMatchesUnsliced(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: Detect(%s): %v", trial, f, err)
 		}
-		wantEF := EFArbitrary(comp, whole)
+		least, wantEF := efArbitrary(comp, whole, nil)
 		want := wantEF
 		if !useEF {
 			want = !wantEF
@@ -131,12 +132,19 @@ func TestSliceRoutedDetectMatchesUnsliced(t *testing.T) {
 				trial, f, res.Holds, lw)
 		}
 
-		// Evidence: the unsliced exponential cell returns a bare verdict
-		// (no witness, no counterexample); the sliced path must match
-		// bit for bit.
-		if res.Witness != nil || res.Counterexample != nil {
-			t.Fatalf("trial %d: sliced Detect(%s) attached evidence (witness %v, cex %v); unsliced path returns none",
-				trial, f, res.Witness, res.Counterexample)
+		// Evidence: both paths stop at the lexically least cut satisfying
+		// whole — a witness for EF, a counterexample for AG — so the
+		// sliced evidence must match the unsliced solver's bit for bit.
+		var wantWitness []computation.Cut
+		var wantCex computation.Cut
+		if wantEF && useEF {
+			wantWitness = []computation.Cut{least}
+		} else if wantEF {
+			wantCex = least
+		}
+		if !pathsEqual(res.Witness, wantWitness) || !cutsEqual(res.Counterexample, wantCex) {
+			t.Fatalf("trial %d: sliced Detect(%s) evidence (witness %v, cex %v); unsliced solver's is (%v, %v)",
+				trial, f, res.Witness, res.Counterexample, wantWitness, wantCex)
 		}
 		if res.Stats.SliceBuild <= 0 {
 			t.Fatalf("trial %d: slice-routed run recorded no slice build time", trial)

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/computation"
@@ -11,10 +12,12 @@ import (
 	"repro/internal/slice"
 )
 
-// The memoized cut walks name cuts by computation.CutIndex. This file
-// keeps their string-keyed predecessors as references: on the same inputs
-// the indexed walks must visit the same cuts in the same order, so
-// verdicts and every Stats counter agree exactly.
+// The memoized path searches (EG, EU, A1's backtracking) name cuts by
+// computation.CutIndex. This file keeps their string-keyed predecessors as
+// references: on the same inputs the indexed walks must visit the same
+// cuts in the same order, so verdicts and every Stats counter agree
+// exactly. The lexical walks (EF and the slice search) are compared with
+// a brute-force reference instead: the explicit lattice's cuts, sorted.
 
 // cutKey is the varint string the walks used to key their maps by.
 func cutKey(c computation.Cut) string {
@@ -25,17 +28,22 @@ func cutKey(c computation.Cut) string {
 	return string(buf)
 }
 
-func refSearchSlice(comp *computation.Computation, sl *slice.Slice, factor predicate.Linear, rest predicate.Predicate, st *Stats) bool {
-	ip, ok := sl.Least()
-	if !ok {
-		return false
-	}
+// lexCuts returns the explicit lattice's cuts in lexical order.
+func lexCuts(tb testing.TB, comp *computation.Computation) []computation.Cut {
+	cuts := slices.Clone(latticeOf(tb, comp).Cuts())
+	slices.SortFunc(cuts, slices.Compare[computation.Cut])
+	return cuts
+}
+
+// refLexSearchSlice walks the slice's cuts, the lexically sorted lattice
+// cuts that sl.Sat accepts, until the remainder holds, counting as
+// searchSlice counts.
+func refLexSearchSlice(cuts []computation.Cut, comp *computation.Computation, sl *slice.Slice, factor predicate.Linear, rest predicate.Predicate, st *Stats) (computation.Cut, bool) {
 	guard := sliceGuard(comp, sl, factor)
-	seen := map[string]bool{cutKey(ip): true}
-	stack := []computation.Cut{ip.Copy()}
-	for len(stack) > 0 {
-		cut := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	for _, cut := range cuts {
+		if !sl.Sat(cut) {
+			continue
+		}
 		st.cuts(1)
 		st.sliceCuts(1)
 		if guard != nil && !guard.Eval(comp, cut) {
@@ -43,55 +51,23 @@ func refSearchSlice(comp *computation.Computation, sl *slice.Slice, factor predi
 		}
 		st.evals(1)
 		if rest.Eval(comp, cut) {
-			return true
-		}
-		for i := range cut {
-			if cut[i] >= comp.Len(i) {
-				continue
-			}
-			jc, ok := sl.J(i, cut[i]+1)
-			if !ok {
-				continue
-			}
-			next := computation.Join(cut, jc)
-			if key := cutKey(next); !seen[key] {
-				seen[key] = true
-				stack = append(stack, next)
-			}
+			return cut, true
 		}
 	}
-	return false
+	return nil, false
 }
 
-func refEFArbitrary(comp *computation.Computation, p predicate.Predicate, st *Stats) bool {
-	seen := make(map[string]bool)
-	cut := comp.InitialCut()
-	var dfs func() bool
-	dfs = func() bool {
+// refLexEFArbitrary walks the lexically sorted lattice cuts until p
+// holds, counting as efArbitrary counts.
+func refLexEFArbitrary(cuts []computation.Cut, comp *computation.Computation, p predicate.Predicate, st *Stats) (computation.Cut, bool) {
+	for _, cut := range cuts {
 		st.cuts(1)
 		st.evals(1)
 		if p.Eval(comp, cut) {
-			return true
+			return cut, true
 		}
-		key := cutKey(cut)
-		if seen[key] {
-			st.memo(1)
-			return false
-		}
-		seen[key] = true
-		for i := range cut {
-			if comp.EnabledEvent(cut, i) {
-				cut[i]++
-				hit := dfs()
-				cut[i]--
-				if hit {
-					return true
-				}
-			}
-		}
-		return false
 	}
-	return dfs()
+	return nil, false
 }
 
 func refEGArbitrary(comp *computation.Computation, p predicate.Predicate, st *Stats) bool {
@@ -238,8 +214,6 @@ func TestWalksMatchStringKeyedReference(t *testing.T) {
 				got, ref func(*Stats) bool
 			}
 			walks := []walk{
-				{"EF", func(st *Stats) bool { return efArbitrary(comp, p, st) },
-					func(st *Stats) bool { return refEFArbitrary(comp, p, st) }},
 				{"EG", func(st *Stats) bool { return egArbitrary(comp, p, st) },
 					func(st *Stats) bool { return refEGArbitrary(comp, p, st) }},
 				{"EU", func(st *Stats) bool { return euArbitrary(comp, p, q, st) },
@@ -262,10 +236,22 @@ func TestWalksMatchStringKeyedReference(t *testing.T) {
 	}
 }
 
-func TestSearchSliceMatchesStringKeyedReference(t *testing.T) {
+// TestLexWalksMatchBruteForceReference pins the lexical walks exactly:
+// efArbitrary and searchSlice must stop at the reference's cut after the
+// reference's counts, on every input.
+func TestLexWalksMatchBruteForceReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3232))
 	compared := 0
 	for ci, comp := range testComps(t) {
+		cuts := lexCuts(t, comp)
+		for _, p := range walkBattery(rng, comp) {
+			var got, ref Stats
+			g, gok := efArbitrary(comp, p, &got)
+			r, rok := refLexEFArbitrary(cuts, comp, p, &ref)
+			if gok != rok || !cutsEqual(g, r) || got != ref {
+				t.Fatalf("comp %d EF(%s): got %v %v %+v, reference %v %v %+v", ci, p, gok, g, got, rok, r, ref)
+			}
+		}
 		for _, factor := range conjBattery(comp) {
 			if len(factor.Locals) == 0 {
 				continue
@@ -288,24 +274,24 @@ func TestSearchSliceMatchesStringKeyedReference(t *testing.T) {
 				}
 				sl := slice.NewIncremental(comp, lf)
 				var got, ref Stats
-				g := searchSlice(comp, sl, lf, lrest, &got)
-				r := refSearchSlice(comp, sl, lf, rest, &ref)
-				if g != r || got != ref {
-					t.Fatalf("comp %d factor %s rest %s: got %v %+v, reference %v %+v", ci, factor, rest, g, got, r, ref)
+				g, gok := searchSlice(comp, sl, lf, lrest, &got)
+				r, rok := refLexSearchSlice(cuts, comp, sl, lf, rest, &ref)
+				if gok != rok || !cutsEqual(g, r) || got != ref {
+					t.Fatalf("comp %d factor %s rest %s: got %v %v %+v, reference %v %v %+v", ci, factor, rest, gok, g, got, rok, r, ref)
 				}
 				compared++
 			}
 		}
 	}
-	// The shape the benchmark measures, wide enough to grow the index.
+	// The shape the benchmark measures, small enough to enumerate.
 	for seed := int64(0); seed < 4; seed++ {
-		comp, factor, rest := edgeShape(8, 96, 2, seed)
+		comp, factor, rest := edgeShape(4, 24, 3, seed)
 		sl := slice.NewIncremental(comp, factor)
 		var got, ref Stats
-		g := searchSlice(comp, sl, factor, rest, &got)
-		r := refSearchSlice(comp, sl, factor, rest, &ref)
-		if g != r || got != ref {
-			t.Fatalf("edge shape seed %d: got %v %+v, reference %v %+v", seed, g, got, r, ref)
+		g, gok := searchSlice(comp, sl, factor, rest, &got)
+		r, rok := refLexSearchSlice(lexCuts(t, comp), comp, sl, factor, rest, &ref)
+		if gok != rok || !cutsEqual(g, r) || got != ref {
+			t.Fatalf("edge shape seed %d: got %v %v %+v, reference %v %v %+v", seed, gok, g, got, rok, r, ref)
 		}
 	}
 	if compared == 0 {

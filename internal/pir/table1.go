@@ -68,7 +68,7 @@ const (
 	KindUntilSplitDisj
 	// KindUntilAUComposition is the AU composition of Section 7.
 	KindUntilAUComposition
-	// KindExponential is the memoized exponential lattice search.
+	// KindExponential is the exponential search over all cuts.
 	KindExponential
 	// KindSliceFactor routes an otherwise-exponential EF/AG through the
 	// computation slice of a conjunctive factor: EF(c ∧ r) enumerates
@@ -231,7 +231,7 @@ func chooseEF(p *Pred) Choice {
 				Why: "regular factor: EF(c ∧ r) holds iff some cut of c's slice satisfies r"}}
 	}
 	return Choice{OpEF, KindExponential, "EF arbitrary: exponential search (NP-complete)",
-		"arbitrary × EF", "O(2^|E|) cuts, memoized",
+		"arbitrary × EF", "≤ Π_i(|E_i|+1) cuts, lexical enumeration, O(n²) space",
 		"no structure inferred: EF for arbitrary predicates is NP-complete", SlicePlan{}}
 }
 
@@ -257,7 +257,7 @@ func chooseAF(p *Pred) Choice {
 			"observer-independent: AF ⟺ EF, so one linearization decides", SlicePlan{}}
 	}
 	return Choice{OpAF, KindExponential, "AF arbitrary: exponential search",
-		"arbitrary × AF", "O(2^|E|) cuts, memoized",
+		"arbitrary × AF", "≤ Π_i(|E_i|+1) cuts, memoized",
 		"no structure inferred: AF(p) = ¬EG(¬p) via the exponential solver", SlicePlan{}}
 }
 
@@ -283,7 +283,7 @@ func chooseEG(p *Pred) Choice {
 			"post-linear: the dual greedy path construction applies", SlicePlan{}}
 	}
 	return Choice{OpEG, KindExponential, "EG arbitrary: exponential search (NP-complete, Theorem 5)",
-		"arbitrary × EG", "O(2^|E|) cuts, memoized",
+		"arbitrary × EG", "≤ Π_i(|E_i|+1) cuts, memoized",
 		"Theorem 5: EG is NP-complete already for observer-independent predicates", SlicePlan{}}
 }
 
@@ -323,7 +323,7 @@ func chooseAG(p *Pred) Choice {
 		}
 	}
 	return Choice{OpAG, KindExponential, "AG arbitrary: exponential search (co-NP-complete, Theorem 6)",
-		"arbitrary × AG", "O(2^|E|) cuts, memoized",
+		"arbitrary × AG", "≤ Π_i(|E_i|+1) cuts, lexical enumeration, O(n²) space",
 		"Theorem 6: AG is co-NP-complete already for observer-independent predicates", SlicePlan{}}
 }
 
@@ -359,7 +359,7 @@ func chooseEU(p, q *Pred) Choice {
 		}
 	}
 	return Choice{OpEU, KindExponential, "EU arbitrary: exponential search",
-		"arbitrary × EU", "O(2^|E|) cuts, memoized",
+		"arbitrary × EU", "≤ Π_i(|E_i|+1) cuts, memoized",
 		"no structure inferred for the p/q pair", SlicePlan{}}
 }
 
@@ -372,6 +372,6 @@ func chooseAU(p, q *Pred) Choice {
 			"Section 7 composition: the complements are conjunctive, detected by A1 and A3", SlicePlan{}}
 	}
 	return Choice{OpAU, KindExponential, "AU arbitrary: exponential search",
-		"arbitrary × AU", "O(2^|E|) cuts, memoized",
+		"arbitrary × AU", "≤ Π_i(|E_i|+1) cuts, memoized",
 		"no structure inferred for the p/q pair", SlicePlan{}}
 }
