@@ -240,25 +240,6 @@ func BenchmarkScalingStructuralVsLattice(b *testing.B) {
 
 // --- Ablations -------------------------------------------------------------
 
-func BenchmarkAblationA1VsBacktracking(b *testing.B) {
-	comp := sim.Grid(6, 6)
-	var locals []predicate.LocalPredicate
-	for p := 0; p < 6; p++ {
-		locals = append(locals, predicate.VarCmp{Proc: p, Var: "c", Op: predicate.NE, K: 1})
-	}
-	barrier := predicate.Conjunctive{Locals: locals}
-	b.Run("A1", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.EGLinear(comp, barrier)
-		}
-	})
-	b.Run("Backtracking", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.EGLinearBacktracking(comp, barrier)
-		}
-	})
-}
-
 func BenchmarkAblationLeastCutVsLattice(b *testing.B) {
 	comp := sim.Random(sim.DefaultRandomConfig(4, 16), 19)
 	p := benchConj()

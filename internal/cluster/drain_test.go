@@ -17,9 +17,16 @@ import (
 // drained node afterwards disturbs nothing — zero loss, zero resumes
 // against the corpse, verdicts bit-identical to offline detection. The
 // transfer is an adoption, not a crash promotion, so the failover
-// counter must stay at zero.
+// counter must stay at zero. It runs under each durability mode of the
+// chaos matrix: the goodbye must account for every event either way.
 func TestClusterDrainHandoff(t *testing.T) {
-	h := startCluster(t, 3, false, 0)
+	for _, mode := range durabilityModes(t) {
+		t.Run("durability="+mode.String(), func(t *testing.T) { runDrainHandoff(t, mode) })
+	}
+}
+
+func runDrainHandoff(t *testing.T, mode cluster.Durability) {
+	h := startClusterMode(t, 3, false, 0, mode)
 	const key = "drain-handoff"
 	succ := h.nodes[0].Ring().Successors(key, 2)
 	owner, replica := h.index(succ[0]), h.index(succ[1])

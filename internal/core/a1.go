@@ -183,40 +183,3 @@ func egPostLinear(comp *computation.Computation, p predicate.Predicate, st *Stat
 	}
 	return cutPath(n, steps), true
 }
-
-// EGLinearBacktracking is the ablation counterpart of A1: instead of
-// trusting Theorem 2's arbitrary-choice argument it backtracks over every
-// predecessor choice, memoizing failures. It returns identical answers on
-// every input (tests verify this) at worst-case exponential cost — the
-// point of the ablation bench.
-func EGLinearBacktracking(comp *computation.Computation, p predicate.Predicate) bool {
-	w := comp.FinalCut()
-	if !p.Eval(comp, w) {
-		return false
-	}
-	initial := comp.InitialCut()
-	failed := computation.NewCutIndex(comp)
-	var down func(w computation.Cut) bool
-	down = func(w computation.Cut) bool {
-		if w.Equal(initial) {
-			return true
-		}
-		if _, ok := failed.Lookup(w); ok {
-			return false
-		}
-		for i := range w {
-			if !comp.MaximalEvent(w, i) {
-				continue
-			}
-			w[i]--
-			if p.Eval(comp, w) && down(w) {
-				w[i]++
-				return true
-			}
-			w[i]++
-		}
-		failed.Insert(w)
-		return false
-	}
-	return down(w)
-}

@@ -126,11 +126,6 @@ func TestCrossValidateLinearOperators(t *testing.T) {
 			if gotEG {
 				verifyEGPath(t, comp, p, path)
 			}
-			// A1 ablation: backtracking agrees.
-			if bt := EGLinearBacktracking(comp, p); bt != gotEG {
-				t.Errorf("comp %d pred %s: backtracking EG = %v, A1 = %v", ci, p, bt, gotEG)
-			}
-
 			// A2.
 			cex, gotAG := AGLinear(comp, p)
 			wantAG := explore.Holds(l, ctl.AG{F: atom})
@@ -576,4 +571,56 @@ func ExampleDetect() {
 	res, _ := Detect(comp, f)
 	fmt.Println(res.Holds, res.Algorithm)
 	// Output: true EU conjunctive/linear: Algorithm A3
+}
+
+// TestTable1GridMatchesLattice runs every cell of Table 1 through the
+// dispatcher, one predicate per class row and each operator column, plus
+// A3's E[p U q] and the A[p U q] composition, and compares each verdict
+// with the explicit-lattice checker on small random computations.
+func TestTable1GridMatchesLattice(t *testing.T) {
+	ge1 := func(proc int) predicate.VarCmp {
+		return predicate.VarCmp{Proc: proc, Var: "x0", Op: predicate.GE, K: 1}
+	}
+	le2 := func(proc int) predicate.VarCmp {
+		return predicate.VarCmp{Proc: proc, Var: "x0", Op: predicate.LE, K: 2}
+	}
+	disj := predicate.Disj(ge1(0), ge1(1))
+	rows := []predicate.Predicate{
+		predicate.Conj(ge1(0), ge1(1)),
+		disj,
+		// x0 starts at 0, so the ≥ 1 rows fail at ∅ and EG and AG never
+		// hold on them; these two rows let both verdicts occur.
+		predicate.Conj(le2(0), le2(1)),
+		predicate.Disj(le2(0), le2(1)),
+		predicate.Stable{P: predicate.Received{ID: 1}},
+		predicate.AndLinear{Ps: []predicate.Linear{predicate.Conj(ge1(0)), predicate.ChannelsEmpty{}}},
+		predicate.ChannelsEmpty{},
+		predicate.ObserverIndependent{P: disj},
+		predicate.Fn{Name: "parity", F: func(c *computation.Computation, cut computation.Cut) bool {
+			return cut.Size()%2 == 0 || cut.Equal(c.FinalCut())
+		}},
+	}
+	p := predicate.Conj(predicate.VarCmp{Proc: 0, Var: "x0", Op: predicate.LE, K: 3})
+	q := predicate.AndLinear{Ps: []predicate.Linear{predicate.Conj(ge1(1)), predicate.ChannelsEmpty{}}}
+	fs := []ctl.Formula{
+		ctl.EU{P: ctl.Atom{P: p}, Q: ctl.Atom{P: q}},
+		ctl.AU{P: ctl.Atom{P: p.Negate()}, Q: ctl.Atom{P: predicate.Disj(ge1(1))}},
+	}
+	for _, row := range rows {
+		a := ctl.Atom{P: row}
+		fs = append(fs, ctl.EF{F: a}, ctl.AF{F: a}, ctl.EG{F: a}, ctl.AG{F: a})
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		comp := sim.Random(sim.DefaultRandomConfig(3, 10), seed)
+		l := latticeOf(t, comp)
+		for _, f := range fs {
+			res, err := Detect(comp, f)
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, f, err)
+			}
+			if want := explore.Holds(l, f); res.Holds != want {
+				t.Errorf("seed %d %s: Detect = %v via %q, lattice %v", seed, f, res.Holds, res.Algorithm, want)
+			}
+		}
+	}
 }

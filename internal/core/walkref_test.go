@@ -9,15 +9,18 @@ import (
 	"repro/internal/computation"
 	"repro/internal/pir"
 	"repro/internal/predicate"
+	"repro/internal/sim"
 	"repro/internal/slice"
 )
 
-// The memoized path searches (EG, EU, A1's backtracking) name cuts by
+// The memoized path searches (EG and EU) name cuts by
 // computation.CutIndex. This file keeps their string-keyed predecessors as
 // references: on the same inputs the indexed walks must visit the same
 // cuts in the same order, so verdicts and every Stats counter agree
 // exactly. The lexical walks (EF and the slice search) are compared with
 // a brute-force reference instead: the explicit lattice's cuts, sorted.
+// A1's backtracking counterpart, the baseline of the A1 ablation, lives
+// here too.
 
 // cutKey is the varint string the walks used to key their maps by.
 func cutKey(c computation.Cut) string {
@@ -140,8 +143,11 @@ func refEUArbitrary(comp *computation.Computation, p, q predicate.Predicate, st 
 	return dfs()
 }
 
-// refEGLinearBacktracking counts its evaluations in st so the comparison
-// sees the visiting order, which the exported walk does not report.
+// refEGLinearBacktracking is the ablation counterpart of A1: instead of
+// trusting Theorem 2's arbitrary-choice argument it backtracks down from
+// E over every predecessor choice, memoizing failures by string key. It
+// returns A1's verdict at worst-case exponential cost, which is what
+// BenchmarkAblationA1VsBacktracking measures.
 func refEGLinearBacktracking(comp *computation.Computation, p predicate.Predicate, st *Stats) bool {
 	w := comp.FinalCut()
 	st.evals(1)
@@ -177,14 +183,30 @@ func refEGLinearBacktracking(comp *computation.Computation, p predicate.Predicat
 	return down(w)
 }
 
-// counting wraps a predicate so its evaluations are counted in st: the
-// exported EGLinearBacktracking takes no Stats, and the wrapper makes its
-// visiting order observable all the same.
-func counting(p predicate.Predicate, st *Stats) predicate.Predicate {
-	return predicate.Fn{Name: p.String(), F: func(c *computation.Computation, cut computation.Cut) bool {
-		st.evals(1)
-		return p.Eval(c, cut)
-	}}
+// BenchmarkAblationA1VsBacktracking is design decision 3's ablation on
+// sim.Grid(6, 6): EG(conj(c != 1)) is false, so the backtracking walk
+// explores every cut above the barrier before giving up while A1 walks a
+// single path down to it. Both must return the same verdict.
+func BenchmarkAblationA1VsBacktracking(b *testing.B) {
+	comp := sim.Grid(6, 6)
+	var locals []predicate.LocalPredicate
+	for p := 0; p < 6; p++ {
+		locals = append(locals, predicate.VarCmp{Proc: p, Var: "c", Op: predicate.NE, K: 1})
+	}
+	barrier := predicate.Conjunctive{Locals: locals}
+	if _, a1 := EGLinear(comp, barrier); a1 != refEGLinearBacktracking(comp, barrier, nil) {
+		b.Fatalf("A1 EG = %v, backtracking disagrees", a1)
+	}
+	b.Run("A1", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			EGLinear(comp, barrier)
+		}
+	})
+	b.Run("Backtracking", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			refEGLinearBacktracking(comp, barrier, nil)
+		}
+	})
 }
 
 // walkBattery returns the predicates the walks are compared on: the
@@ -224,13 +246,6 @@ func TestWalksMatchStringKeyedReference(t *testing.T) {
 				if g, r := w.got(&got), w.ref(&ref); g != r || got != ref {
 					t.Fatalf("comp %d %s(%s): got %v %+v, reference %v %+v", ci, w.name, p, g, got, r, ref)
 				}
-			}
-			var got, ref Stats
-			g := EGLinearBacktracking(comp, counting(p, &got))
-			r := refEGLinearBacktracking(comp, p, &ref)
-			if g != r || got.PredicateEvals != ref.PredicateEvals {
-				t.Fatalf("comp %d EGLinearBacktracking(%s): got %v after %d evals, reference %v after %d",
-					ci, p, g, got.PredicateEvals, r, ref.PredicateEvals)
 			}
 		}
 	}

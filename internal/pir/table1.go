@@ -108,7 +108,7 @@ const (
 	sliceWhyStable   = "stable predicates are constant-work: one evaluation at a fixed cut beats building any slice"
 	sliceWhySplit    = "the split children are dispatched separately, each with its own slicing decision"
 	sliceWhyScan     = "the local-state scan is already O(|E|); slice construction alone costs more"
-	sliceWhyAdvance  = "the advancement is already O(n|E|); building the slice costs the same n advancement runs with no asymptotic win (measured: benchharness -experiment ablation [4])"
+	sliceWhyAdvance  = "the advancement is already O(n|E|); building the slice costs the same n advancement runs with no asymptotic win (measured: EXPERIMENTS.md, Ablations, item 4)"
 	sliceWhyDual     = "the dual advancement on the conjunctive complement is already polynomial; the complement's slice would answer the same query at the same cost"
 	sliceWhyObserver = "one linearization decides; no lattice is searched, so there is nothing to slice"
 	sliceWhyBoxes    = "the interval-box scan works on local true-intervals, not cuts; no lattice is searched"

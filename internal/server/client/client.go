@@ -104,7 +104,7 @@ type Config struct {
 }
 
 // Stats counts the reconnect machinery's work, for tests and the
-// benchharness faults experiment.
+// benchmark's cluster-replicated workload.
 type Stats struct {
 	// Reconnects is how many resume handshakes completed.
 	Reconnects int

@@ -18,7 +18,7 @@ func TestIncrementalMatchesNaive(t *testing.T) {
 			predicate.Conj(predicate.VarCmp{Proc: 0, Var: "x0", Op: predicate.LE, K: 2}),
 		}})
 		for _, p := range preds {
-			naive := slice.New(comp, p)
+			naive := slice.NewNaive(comp, p)
 			inc := slice.NewIncremental(comp, p)
 			if naive.Satisfiable() != inc.Satisfiable() {
 				t.Fatalf("seed %d %s: satisfiable %v vs %v", seed, p, naive.Satisfiable(), inc.Satisfiable())
@@ -51,7 +51,7 @@ func TestJMonotoneAlongProcess(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		comp := sim.Random(sim.DefaultRandomConfig(3, 14), seed)
 		for _, p := range regularBattery(comp) {
-			s := slice.New(comp, p)
+			s := slice.NewNaive(comp, p)
 			for i := 0; i < comp.N(); i++ {
 				var prev []int
 				for k := 1; k <= comp.Len(i); k++ {
@@ -99,7 +99,7 @@ func BenchmarkSliceConstruction(b *testing.B) {
 		)
 		b.Run(fmt.Sprintf("Naive/E%d", events), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				slice.New(comp, p)
+				slice.NewNaive(comp, p)
 			}
 		})
 		b.Run(fmt.Sprintf("Incremental/E%d", events), func(b *testing.B) {

@@ -31,33 +31,6 @@ type Slice struct {
 	satisfiable bool
 }
 
-// New computes the slice of comp with respect to the linear predicate p:
-// one advancement run for I_p plus one per event for the J_p(e), i.e.
-// O(n|E|) predicate evaluations per run and O(n|E|²) in total.
-//
-// Deprecated: New recomputes leastFrom from scratch for every event. Use
-// NewIncremental, which exploits the monotonicity of J along each process
-// to build the identical slice in O(n|E|) cut updates per process. New is
-// retained only as the reference implementation for the randomized
-// equivalence regression test (TestIncrementalMatchesNaive).
-func New(comp *computation.Computation, p predicate.Linear) *Slice {
-	s := &Slice{comp: comp, p: p, j: make([][]computation.Cut, comp.N())}
-	s.ip, s.satisfiable = leastFrom(comp, p, comp.InitialCut())
-	for i := 0; i < comp.N(); i++ {
-		s.j[i] = make([]computation.Cut, comp.Len(i))
-		if !s.satisfiable {
-			continue
-		}
-		for k := 1; k <= comp.Len(i); k++ {
-			start := comp.DownSet(comp.Event(i, k))
-			if cut, ok := leastFrom(comp, p, start); ok {
-				s.j[i][k-1] = cut
-			}
-		}
-	}
-	return s
-}
-
 // leastFrom runs the Chase–Garg advancement from an arbitrary consistent
 // starting cut, returning the least satisfying cut above it.
 func leastFrom(comp *computation.Computation, p predicate.Linear, start computation.Cut) (computation.Cut, bool) {

@@ -32,7 +32,7 @@ func TestSliceFig4(t *testing.T) {
 		predicate.ChannelsEmpty{},
 		predicate.Conj(predicate.VarCmp{Proc: 0, Var: "x", Op: predicate.GT, K: 1}),
 	}}
-	s := slice.New(comp, q)
+	s := slice.NewIncremental(comp, q)
 	if !s.Satisfiable() {
 		t.Fatal("q is satisfiable on Fig 4")
 	}
@@ -59,7 +59,7 @@ func TestSliceSatMatchesDirectEval(t *testing.T) {
 			if !l.CheckRegular(p) {
 				t.Fatalf("seed %d: %s not regular", seed, p)
 			}
-			s := slice.New(comp, p)
+			s := slice.NewIncremental(comp, p)
 			for _, cut := range l.Cuts() {
 				want := p.Eval(comp, cut)
 				if got := s.Sat(cut); got != want {
@@ -75,7 +75,7 @@ func TestSliceEGMatchesA1(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		comp := sim.Random(sim.DefaultRandomConfig(3, 10), seed)
 		for _, p := range regularBattery(comp) {
-			s := slice.New(comp, p)
+			s := slice.NewIncremental(comp, p)
 			_, want := core.EGLinear(comp, p)
 			if got := s.EG(); got != want {
 				t.Fatalf("seed %d pred %s: slice EG = %v, A1 = %v", seed, p, got, want)
@@ -88,7 +88,7 @@ func TestSliceAGMatchesA2(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		comp := sim.Random(sim.DefaultRandomConfig(3, 10), seed)
 		for _, p := range regularBattery(comp) {
-			s := slice.New(comp, p)
+			s := slice.NewIncremental(comp, p)
 			_, want := core.AGLinear(comp, p)
 			if got := s.AG(); got != want {
 				t.Fatalf("seed %d pred %s: slice AG = %v, A2 = %v", seed, p, got, want)
@@ -103,7 +103,7 @@ func TestSliceUnsatisfiable(t *testing.T) {
 		Proc: 0, Name: "never",
 		Fn: func(*computation.Computation, int) bool { return false },
 	})
-	s := slice.New(comp, never)
+	s := slice.NewIncremental(comp, never)
 	if s.Satisfiable() {
 		t.Fatal("never-true predicate reported satisfiable")
 	}
@@ -126,7 +126,7 @@ func TestSliceJMissing(t *testing.T) {
 	b.Send(0) // never received
 	b.Internal(1)
 	comp := b.MustBuild()
-	s := slice.New(comp, predicate.ChannelsEmpty{})
+	s := slice.NewIncremental(comp, predicate.ChannelsEmpty{})
 	if !s.Satisfiable() {
 		t.Fatal("∅ satisfies channelsEmpty")
 	}
