@@ -192,7 +192,9 @@ func (e *entryEncoder) encode(f server.ClientFrame) []byte {
 	var b *pir.Batch
 	switch f.Type {
 	case server.FrameInit, server.FrameEvent:
-		if e.fillRow(&f) {
+		// The binary codec has no sign on the proc column, so a negative
+		// proc is logged as a control entry for the session to reject.
+		if e.row.Reset(); f.Proc >= 0 && server.AppendRow(&e.row, &f, 0) == "" {
 			b = &e.row
 		}
 	case server.FrameBatch:
@@ -211,36 +213,6 @@ func (e *entryEncoder) encode(f server.ClientFrame) []byte {
 		e.buf = append(append(e.buf[:0], entryControl), line...)
 	}
 	return append([]byte(nil), e.buf...)
-}
-
-// fillRow rewrites a single init/event frame into the encoder's one-row
-// batch, as the session's own fillRow will; false when no row can carry
-// the frame (the session will reject it, or the binary codec cannot
-// express it).
-func (e *entryEncoder) fillRow(f *server.ClientFrame) bool {
-	kind, msg := pir.EvInit, 0
-	if f.Type == server.FrameEvent {
-		switch f.Kind {
-		case "", "internal":
-			kind = pir.EvInternal
-		case "send":
-			kind, msg = pir.EvSend, f.Msg
-		case "receive":
-			kind, msg = pir.EvReceive, f.Msg
-		default:
-			return false
-		}
-	}
-	if f.Proc < 0 || f.Proc != int(int32(f.Proc)) || msg != int(int32(msg)) {
-		return false
-	}
-	e.row.Reset()
-	if kind == pir.EvInit {
-		e.row.AddInit(f.Proc, f.Var, f.Value)
-	} else {
-		e.row.AddEvent(f.Proc, kind, msg, f.Sets)
-	}
-	return true
 }
 
 // procsEncodable reports whether every proc of b survives the binary

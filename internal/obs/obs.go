@@ -205,17 +205,21 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 }
 
 // Observe records v. Safe on nil; no-op when the registry is disabled.
-func (h *Histogram) Observe(v float64) {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records v n times: n events that share one measurement, such
+// as the latency of the batch that carried them.
+func (h *Histogram) ObserveN(v float64, n int64) {
 	if h == nil || !h.reg.enabled.Load() {
 		return
 	}
 	// First bucket whose bound is >= v; the overflow bucket is +Inf.
 	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.count.Add(1)
+	h.counts[i].Add(n)
+	h.count.Add(n)
 	for {
 		old := h.sum.Load()
-		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v*float64(n))) {
 			return
 		}
 	}

@@ -23,6 +23,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -212,6 +213,14 @@ func (s *FrameScanner) BinaryType() byte { return s.typ }
 // not consumed yet. Zero means the next Scan waits on the peer — the
 // point at which a reader that answers per burst should answer.
 func (s *FrameScanner) Buffered() int { return s.br.Buffered() }
+
+// LineBuffered reports whether the next frame is an NDJSON line already
+// whole in the read buffer, so that Scan returns it without reading from
+// the stream (and so without waiting on the peer or a read deadline).
+func (s *FrameScanner) LineBuffered() bool {
+	b, _ := s.br.Peek(s.br.Buffered())
+	return len(b) > 0 && b[0] != FrameMagic && bytes.IndexByte(b, '\n') >= 0
+}
 
 // Err returns the first error encountered (nil at clean EOF).
 func (s *FrameScanner) Err() error { return s.err }

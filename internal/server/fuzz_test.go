@@ -175,14 +175,14 @@ func FuzzDecodeClientFrame(f *testing.F) {
 		if fr.Type == FrameInit || fr.Type == FrameEvent {
 			// The one-row rewrite either refuses the frame or carries its
 			// ids exactly.
-			s := &Session{n: MaxProcesses}
-			if s.fillRow(&fr) == "" {
+			var row pir.Batch
+			if AppendRow(&row, &fr, MaxProcesses) == "" {
 				msg := fr.Msg
 				if fr.Kind != "send" && fr.Kind != "receive" {
 					msg = 0 // ignored on the other kinds, as it always was
 				}
-				if int(s.row.Procs[0]) != fr.Proc || s.row.Msg(0) != msg || s.row.Validate() != nil {
-					t.Fatalf("row (proc %d, msg %d) for frame (proc %d, msg %d)", s.row.Procs[0], s.row.Msg(0), fr.Proc, fr.Msg)
+				if int(row.Procs[0]) != fr.Proc || row.Msg(0) != msg || row.Validate() != nil {
+					t.Fatalf("row (proc %d, msg %d) for frame (proc %d, msg %d)", row.Procs[0], row.Msg(0), fr.Proc, fr.Msg)
 				}
 			}
 		}

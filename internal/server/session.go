@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -92,6 +93,22 @@ type inFrame struct {
 	enq  time.Time
 	resp chan ServerFrame // non-nil for requests awaiting an in-band reply
 	span *obs.Span        // the frame's pipeline span (nil when tracing is off)
+	// gathered marks a batch the TCP reader gathered from single init/event
+	// lines (f.Type is FrameBatch), not a batch frame the client sent.
+	gathered bool
+}
+
+// sheddable returns the events the drop overflow policy may shed with in:
+// a lone event frame, or a gathered batch that carries no init row. Inits
+// are never shed, so a batch with one blocks as a lone init does.
+func (in *inFrame) sheddable() int64 {
+	switch {
+	case in.f.Type == FrameEvent:
+		return 1
+	case in.gathered && bytes.IndexByte(in.f.Batch.Kinds, pir.EvInit) < 0:
+		return int64(in.f.Batch.Len())
+	}
+	return 0
 }
 
 // attachment is one transport subscription (a TCP connection's writer).
@@ -117,6 +134,7 @@ const (
 	seqAccept seqVerdict = iota // next-in-order: enqueue it
 	seqDup                      // already accepted: drop idempotently
 	seqGap                      // frames lost in flight: drop the connection
+	seqBad                      // unsequenced ingest frame: drop the connection
 )
 
 // Session is one detection session: a bounded ingest queue feeding a
@@ -373,6 +391,19 @@ func (s *Session) Ingest(f ClientFrame) error {
 	return s.enqueue(inFrame{f: f, enq: time.Now()})
 }
 
+// ingestGathered enqueues the rows the TCP reader gathered from single
+// init/event lines as one batch carrying the last accepted seq. The loop
+// applies it through handleBatch, as it would the lines one by one; the
+// drop policy sheds it as one unit (see sheddable). An empty batch is
+// recycled.
+func (s *Session) ingestGathered(b *pir.Batch, seq int64) error {
+	if b.Len() == 0 {
+		b.Recycle()
+		return nil
+	}
+	return s.enqueue(inFrame{f: ClientFrame{Type: FrameBatch, Seq: seq, Batch: b}, enq: time.Now(), gathered: true})
+}
+
 func (s *Session) enqueue(in inFrame) error {
 	var es *obs.Span
 	if s.tracer != nil && in.f.Type != frameFlush {
@@ -380,6 +411,9 @@ func (s *Session) enqueue(in inFrame) error {
 		// loop has applied the frame; its children are the pipeline stages.
 		fs := s.tracer.StartAt("frame", s.span.Context(), in.enq)
 		fs.Set("service", "transport").Set("type", in.f.Type)
+		if in.gathered {
+			fs.Set("lines", in.f.Batch.Len())
+		}
 		if in.f.Proc != 0 {
 			fs.Set("proc", in.f.Proc)
 		}
@@ -409,16 +443,23 @@ func (s *Session) enqueueRaw(in inFrame) error {
 	// Resumable sessions always block: shedding an accepted sequenced
 	// frame would violate exactly-once ingestion (the client has been
 	// told, via the seq high-water mark, not to resend it).
-	if s.srv.cfg.Overflow == OverflowDrop && !s.resumable && in.f.Type == FrameEvent {
-		select {
-		case s.queue <- in:
-			return nil
-		case <-s.stop:
-			return ErrClosed
-		default:
-			s.dropped.Add(1)
-			s.srv.met.dropped.Inc()
-			return ErrDropped
+	if s.srv.cfg.Overflow == OverflowDrop && !s.resumable {
+		if n := in.sheddable(); n > 0 {
+			// A gathered batch is shed when the queue cannot take its
+			// events: frames are waiting (each at least one event) and its
+			// own would take the queue past its depth. Into an empty queue
+			// it goes whole, as a lone event would.
+			if q := len(s.queue); in.gathered && q > 0 && q+int(n) > cap(s.queue) {
+				return s.shed(n)
+			}
+			select {
+			case s.queue <- in:
+				return nil
+			case <-s.stop:
+				return ErrClosed
+			default:
+				return s.shed(n)
+			}
 		}
 	}
 	select {
@@ -427,6 +468,13 @@ func (s *Session) enqueueRaw(in inFrame) error {
 	case <-s.stop:
 		return ErrClosed
 	}
+}
+
+// shed counts n events dropped by the overflow policy.
+func (s *Session) shed(n int64) error {
+	s.dropped.Add(n)
+	s.srv.met.dropped.Add(n)
+	return ErrDropped
 }
 
 // frameFlush is an internal queue barrier (never valid on the wire).
@@ -578,7 +626,8 @@ func (s *Session) handle(f inFrame) {
 	switch f.f.Type {
 	case FrameInit, FrameEvent:
 		var applied int64
-		if why := s.fillRow(&f.f); why != "" {
+		s.row.Reset()
+		if why := AppendRow(&s.row, &f.f, s.n); why != "" {
 			s.reject(f, why)
 		} else {
 			f.f.Batch = &s.row
@@ -586,7 +635,9 @@ func (s *Session) handle(f inFrame) {
 		}
 		s.noteSeq(f.f.Seq, applied)
 	case FrameBatch:
-		s.srv.met.batches.Inc()
+		if !f.gathered {
+			s.srv.met.batches.Inc()
+		}
 		s.noteSeq(f.f.Seq, s.handleBatch(f))
 		f.f.Batch.Recycle() // no-op unless the batch came from the binary decode pool
 	case FrameSnapshot:
@@ -604,19 +655,22 @@ func (s *Session) handle(f inFrame) {
 
 // noteSeq finishes the monitor loop's side of a sequenced frame: the
 // applied high-water mark advances (a semantically rejected frame still
-// consumes its seq — redelivering it must not re-error), and every
-// AckEvery applied frames an ack is pushed so the client can release its
-// in-flight copies. The transport guarantees in-order, gap-free,
-// duplicate-free delivery into the queue, so the loop sees each seq
-// exactly once in order; the guard is defensive. applied is the number
-// of events the frame applied to the monitor — 0 or 1 for single frames,
-// up to the batch length for a batch — keeping the journaled == events
-// reconciliation exact under batching.
+// consumes its seq — redelivering it must not re-error), and an ack is
+// pushed whenever the seqs the frame applies cross a multiple of
+// AckEvery, so the client can release its in-flight copies. A frame
+// applies one seq, except a gathered batch, which applies every seq from
+// the previous mark up to its own. The transport guarantees in-order,
+// gap-free, duplicate-free delivery into the queue, so the loop sees each
+// seq exactly once in order; the guard is defensive. applied is the
+// number of events the frame applied to the monitor — 0 or 1 for single
+// frames, up to the batch length for a batch — keeping the journaled ==
+// events reconciliation exact under batching.
 func (s *Session) noteSeq(seq, applied int64) {
 	if !s.resumable || seq == 0 {
 		return
 	}
-	if seq <= s.ackSeq.Load() {
+	prev := s.ackSeq.Load()
+	if seq <= prev {
 		s.dupes.Add(1)
 		s.srv.met.duplicates.Inc()
 		return
@@ -626,7 +680,7 @@ func (s *Session) noteSeq(seq, applied int64) {
 		s.journaled.Add(applied)
 		s.srv.met.journaled.Add(applied)
 	}
-	if seq%int64(s.srv.cfg.AckEvery) == 0 {
+	if every := int64(s.srv.cfg.AckEvery); seq/every > prev/every {
 		ack := seq
 		if h := s.srv.cfg.Cluster; h != nil && h.AckGate != nil {
 			// An ack releases the client's in-flight copy, so in cluster
@@ -701,19 +755,21 @@ func (s *Session) ensureWatches() {
 	s.checkWatches()
 }
 
-// Rejection texts shared by fillRow and handleBatch, so a condition
+// Rejection texts shared by AppendRow and handleBatch, so a condition
 // reads the same whichever encoding carried the event.
 const (
 	errProcRange  = "process %d outside [1,%d]"
 	errUnknownMsg = "receive of unknown message %d (dropped or unsent)"
 )
 
-// fillRow rewrites a single init/event frame into the session's reused
-// one-row batch, so both encodings apply through handleBatch. It returns
-// the rejection text for what a batch row cannot carry — an unknown
-// event kind, or a proc or msg that would alias another id when narrowed
-// to the int32 columns — and "" once the row is filled.
-func (s *Session) fillRow(f *ClientFrame) string {
+// AppendRow appends the row a single init/event frame carries to b, so
+// that every encoding applies through handleBatch and the cluster logs the
+// row the session applies. It returns the rejection text for what a batch
+// row cannot carry — an unknown event kind, or a proc or msg that would
+// alias another id when narrowed to the int32 columns — leaving b as it
+// was, and "" once the row is appended. n is the session's process count,
+// for the text.
+func AppendRow(b *pir.Batch, f *ClientFrame, n int) string {
 	kind, msg := pir.EvInit, 0
 	if f.Type == FrameEvent {
 		switch f.Kind {
@@ -728,7 +784,7 @@ func (s *Session) fillRow(f *ClientFrame) string {
 		}
 	}
 	if f.Proc != int(int32(f.Proc)) {
-		return fmt.Sprintf(errProcRange, f.Proc, s.n)
+		return fmt.Sprintf(errProcRange, f.Proc, n)
 	}
 	if msg != int(int32(msg)) {
 		if kind == pir.EvReceive {
@@ -736,21 +792,21 @@ func (s *Session) fillRow(f *ClientFrame) string {
 		}
 		return fmt.Sprintf("message id %d outside the int32 range", msg)
 	}
-	s.row.Reset()
 	if kind == pir.EvInit {
-		s.row.AddInit(f.Proc, f.Var, f.Value)
+		b.AddInit(f.Proc, f.Var, f.Value)
 	} else {
-		s.row.AddEvent(f.Proc, kind, msg, f.Sets)
+		b.AddEvent(f.Proc, kind, msg, f.Sets)
 	}
 	return ""
 }
 
 // handleBatch is the one place events reach the monitor. It applies the
-// rows of a batch — a wire batch frame, or the one-row batch fillRow made
-// of a single frame — in order: per-row semantic errors are rejected
-// individually and the rest of the batch continues, and every applied
-// event checks the watches, so verdict determining prefixes do not depend
-// on how the stream was split into frames. Returns the number of events
+// rows of a batch — a wire batch frame, a batch the TCP reader gathered,
+// or the one-row batch AppendRow made of a single frame — in order:
+// per-row semantic errors are rejected individually and the rest of the
+// batch continues, and every applied event checks the watches, so verdict
+// determining prefixes do not depend on how the stream was split into
+// frames. Returns the number of events
 // applied (inits and rejected rows do not count).
 func (s *Session) handleBatch(f inFrame) int64 {
 	b := f.f.Batch
@@ -819,9 +875,10 @@ func (s *Session) handleBatch(f inFrame) int64 {
 		s.checkWatches()
 	}
 	if applied > 0 {
+		// Every event of the frame shares its enqueue-to-applied latency.
 		lat := time.Since(f.enq)
-		s.latNanos.Add(lat.Nanoseconds())
-		s.srv.met.ingestDur.Observe(lat.Seconds())
+		s.latNanos.Add(lat.Nanoseconds() * applied)
+		s.srv.met.ingestDur.ObserveN(lat.Seconds(), applied)
 	}
 	return applied
 }

@@ -349,16 +349,75 @@ func ingestFrame(t string) bool {
 // carry binary batch frames, decoded straight into pir.Batch with a
 // connection-scoped var table (a reconnect gets a fresh table on both
 // sides, so interning needs no handshake).
+//
+// NDJSON ingest pays per read, not per line. When whole lines are
+// already buffered behind an init/event line, the reader decodes them
+// too, while they are init/event lines, and ingestRows enqueues them as
+// one batch: one deadline arm, one decode and one enqueue, where lines
+// that arrive alone pay each. Reading a buffered line needs no socket
+// read, so no deadline is involved. The line that ends a gather — any
+// other frame, or a malformed line — is decoded inside the gather's
+// window and then processed as if it had arrived alone.
 func (s *Server) readFrames(conn net.Conn, sc *FrameScanner, sess *Session, binEnc bool) string {
-	var vt pir.VarTable
-	for sc.Scan() {
-		s.armReadDeadline(conn)
-		decStart := time.Now()
+	var (
+		vt   pir.VarTable
+		rows []ClientFrame // the lines of one gather
+		// next is the line that ended a gather (nextErr its decode error),
+		// processed on the following turn of the loop.
+		next    ClientFrame
+		nextErr error
+		carried bool
+	)
+	for carried || sc.Scan() {
 		var f ClientFrame
-		if sc.Binary() {
-			var err error
-			if f, err = s.decodeBinaryFrame(sc, &vt, binEnc); err != nil {
-				s.met.protoErrors.Inc()
+		var err error
+		if carried {
+			f, err, carried = next, nextErr, false
+		} else {
+			s.armReadDeadline(conn)
+			decStart := time.Now()
+			if sc.Binary() {
+				f, err = s.decodeBinaryFrame(sc, &vt, binEnc)
+			} else {
+				f, err = DecodeClientFrame(sc.Bytes())
+			}
+			rows = rows[:0]
+			if err == nil && gatherable(&f) {
+				for sc.LineBuffered() && sc.Scan() {
+					if next, nextErr = DecodeClientFrame(sc.Bytes()); nextErr != nil || !gatherable(&next) {
+						carried = true
+						break
+					}
+					if len(rows) == 0 {
+						rows = append(rows, f)
+					}
+					rows = append(rows, next)
+				}
+			}
+			if err == nil {
+				s.met.stage(StageDecode, time.Since(decStart))
+				if s.cfg.Tracer != nil {
+					typ := f.Type
+					if len(rows) > 0 {
+						typ = FrameBatch
+					}
+					ds := s.cfg.Tracer.StartAt("decode", sess.spanCtx(), decStart)
+					ds.Set("service", "transport").Set("type", typ)
+					ds.End()
+				}
+			}
+			if len(rows) > 0 {
+				if reason := s.ingestRows(sess, rows); reason != "" {
+					return reason
+				}
+				if sessionDone(sess) {
+					return CloseSessionDone
+				}
+				continue
+			}
+		}
+		if err != nil {
+			if sc.Binary() {
 				if sess.Resumable() && f.Seq > 0 && f.Seq != sess.enqSeq.Load()+1 {
 					// Batch bodies reference the connection's interning
 					// table, so the frame after a silently dropped one can
@@ -367,65 +426,27 @@ func (s *Server) readFrames(conn net.Conn, sc *FrameScanner, sess *Session, binE
 					// (a coded transport signal the client's reconnect
 					// machinery consumes silently), exactly as if the body
 					// had decoded and the triage below had caught it.
-					sess.emit(ServerFrame{Type: FrameError, Session: sess.id, Code: CodeSeqGap,
-						Error: fmt.Sprintf("seq gap: got %d, expected %d — reconnect and resume", f.Seq, sess.enqSeq.Load()+1)}, false)
-					return CloseSeqGap
+					return s.seqFailed(sess, &f, seqGap)
 				}
 				sess.emit(ServerFrame{Type: FrameError, Session: sess.id, Error: err.Error()}, false)
-				if !sess.Resumable() {
-					sess.Close(err.Error())
-				}
-				return CloseProtoError
 			}
-		} else {
-			var err error
-			f, err = DecodeClientFrame(sc.Bytes())
-			if err != nil {
-				// A malformed line means the stream is desynchronized; no
-				// later frame can be trusted. A resumable session survives —
-				// the client will resume and replay from the last ack — but
-				// the connection cannot.
-				s.met.protoErrors.Inc()
-				if !sess.Resumable() {
-					sess.Close(err.Error())
-				}
-				return CloseProtoError
+			s.met.protoErrors.Inc()
+			// A malformed line means the stream is desynchronized; no later
+			// frame can be trusted. A resumable session survives — the
+			// client will resume and replay from the last ack — but the
+			// connection cannot.
+			if !sess.Resumable() {
+				sess.Close(err.Error())
 			}
+			return CloseProtoError
 		}
-		s.met.stage(StageDecode, time.Since(decStart))
-		if s.cfg.Tracer != nil {
-			ds := s.cfg.Tracer.StartAt("decode", sess.spanCtx(), decStart)
-			ds.Set("service", "transport").Set("type", f.Type)
-			ds.End()
-		}
-		if sess.Resumable() && ingestFrame(f.Type) {
-			if f.Seq <= 0 {
-				// An unsequenced (or negative-seq) ingest frame on a
-				// resumable session would skip the dup/gap triage below,
-				// so a redelivery of it would be ingested twice.
-				s.met.protoErrors.Inc()
-				f.Batch.Recycle()
-				sess.emit(ServerFrame{Type: FrameError, Session: sess.id, Code: CodeBadSeq,
-					Error: fmt.Sprintf("server: %s frame with seq %d on a resumable session (sequenced frames required)", f.Type, f.Seq)}, false)
-				return CloseProtoError
-			}
-			switch sess.acceptSeq(f.Seq) {
-			case seqDup:
-				f.Batch.Recycle()
-				continue // already accepted; drop idempotently
-			case seqGap:
-				s.met.protoErrors.Inc()
-				f.Batch.Recycle()
-				sess.emit(ServerFrame{Type: FrameError, Session: sess.id, Code: CodeSeqGap,
-					Error: fmt.Sprintf("seq gap: got %d, expected %d — reconnect and resume", f.Seq, sess.enqSeq.Load()+1)}, false)
-				return CloseSeqGap
-			}
-			// Freshly accepted: offer the frame to cluster replication
-			// before ingest. The hook runs on this goroutine, so a slow
-			// replica applies backpressure to this client, not to others.
-			if h := s.cfg.Cluster; h != nil && h.OnAccept != nil {
-				h.OnAccept(sess, f)
-			}
+		switch v := s.triage(sess, &f); v {
+		case seqDup:
+			f.Batch.Recycle()
+			continue // already accepted; drop idempotently
+		case seqGap, seqBad:
+			f.Batch.Recycle()
+			return s.seqFailed(sess, &f, v)
 		}
 		switch f.Type {
 		case FrameBye:
@@ -442,11 +463,7 @@ func (s *Server) readFrames(conn net.Conn, sc *FrameScanner, sess *Session, binE
 				sess.Close("")
 			}
 		case FrameInit, FrameEvent, FrameBatch:
-			switch err := sess.Ingest(f); err {
-			case nil, ErrDropped: // drops are counted; session continues
-			default:
-				sess.Close("")
-			}
+			enqueued(sess, sess.Ingest(f))
 		case FrameHello, FrameResume:
 			// A mid-stream handshake frame desynchronizes the dialog. For
 			// a resumable session this is connection-fatal only (a flaky
@@ -461,13 +478,8 @@ func (s *Server) readFrames(conn net.Conn, sc *FrameScanner, sess *Session, binE
 			s.met.protoErrors.Inc()
 			sess.Close(fmt.Sprintf("unknown frame type %q", f.Type))
 		}
-		select {
-		case <-sess.Done():
-			if f.Type == FrameBye {
-				return CloseBye
-			}
+		if sessionDone(sess) {
 			return CloseSessionDone
-		default:
 		}
 	}
 	if errors.Is(sc.Err(), ErrFrameTooLong) {
@@ -478,6 +490,97 @@ func (s *Server) readFrames(conn net.Conn, sc *FrameScanner, sess *Session, binE
 		sess.emit(tooLongFrame(sess.id), false)
 	}
 	return scanEndReason(sc.Err())
+}
+
+// gatherable reports whether f may join a gather: an init or event line
+// without an id (a rejection echoes a lone frame's id; a batch has none).
+func gatherable(f *ClientFrame) bool {
+	return (f.Type == FrameInit || f.Type == FrameEvent) && f.ID == 0
+}
+
+// ingestRows triages the lines of one gather in order, as the lone-line
+// path does, and enqueues the rows of the accepted ones as one batch that
+// carries the last accepted seq. A duplicate is skipped; a bad or gapped
+// seq first enqueues what was gathered before it, then ends the
+// connection. A line AppendRow rejects is enqueued alone between the rows
+// before and after it, so the session rejects it as it would a lone line.
+// It returns the close reason when the connection must end, else "".
+func (s *Server) ingestRows(sess *Session, rows []ClientFrame) string {
+	b := pir.GetBatch()
+	var seq int64
+	for i := range rows {
+		f := &rows[i]
+		switch v := s.triage(sess, f); v {
+		case seqDup:
+			continue
+		case seqGap, seqBad:
+			enqueued(sess, sess.ingestGathered(b, seq))
+			return s.seqFailed(sess, f, v)
+		}
+		if AppendRow(b, f, sess.n) != "" {
+			enqueued(sess, sess.ingestGathered(b, seq))
+			enqueued(sess, sess.Ingest(*f))
+			b = pir.GetBatch()
+			continue
+		}
+		seq = f.Seq
+	}
+	enqueued(sess, sess.ingestGathered(b, seq))
+	return ""
+}
+
+// triage is the reader's seq check of one frame: on a resumable session
+// every ingest frame must carry the next seq. A freshly accepted frame is
+// offered to cluster replication before ingest; the hook runs on this
+// goroutine, so a slow replica applies backpressure to this client, not
+// to others.
+func (s *Server) triage(sess *Session, f *ClientFrame) seqVerdict {
+	if !sess.Resumable() || !ingestFrame(f.Type) {
+		return seqAccept
+	}
+	if f.Seq <= 0 {
+		// An unsequenced (or negative-seq) ingest frame would skip the
+		// dup/gap triage, so a redelivery of it would be ingested twice.
+		return seqBad
+	}
+	v := sess.acceptSeq(f.Seq)
+	if h := s.cfg.Cluster; v == seqAccept && h != nil && h.OnAccept != nil {
+		h.OnAccept(sess, *f)
+	}
+	return v
+}
+
+// seqFailed reports a bad or gapped seq to the client and returns the
+// close reason.
+func (s *Server) seqFailed(sess *Session, f *ClientFrame, v seqVerdict) string {
+	s.met.protoErrors.Inc()
+	if v == seqBad {
+		sess.emit(ServerFrame{Type: FrameError, Session: sess.id, Code: CodeBadSeq,
+			Error: fmt.Sprintf("server: %s frame with seq %d on a resumable session (sequenced frames required)", f.Type, f.Seq)}, false)
+		return CloseProtoError
+	}
+	sess.emit(ServerFrame{Type: FrameError, Session: sess.id, Code: CodeSeqGap,
+		Error: fmt.Sprintf("seq gap: got %d, expected %d — reconnect and resume", f.Seq, sess.enqSeq.Load()+1)}, false)
+	return CloseSeqGap
+}
+
+// enqueued applies the reader's policy to an ingest result: a drop is
+// counted and the session goes on, any other failure closes it.
+func enqueued(sess *Session, err error) {
+	if err != nil && err != ErrDropped {
+		sess.Close("")
+	}
+}
+
+// sessionDone reports whether the session has finished, so the reader
+// stops.
+func sessionDone(sess *Session) bool {
+	select {
+	case <-sess.Done():
+		return true
+	default:
+		return false
+	}
 }
 
 // decodeBinaryFrame decodes one binary frame into a ClientFrame. Only
