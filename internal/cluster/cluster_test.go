@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"runtime"
@@ -11,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -190,14 +192,15 @@ func verifyVerdicts(t *testing.T, steps []step, latched []server.ServerFrame) er
 }
 
 // testCluster is a 3-node in-process detection cluster. Each node serves
-// on a loopback listener wrapped in a KillableListener so a test can
-// crash it; in chaos mode every node additionally sits behind a flaky
-// proxy — the proxy addresses are the ring identities clients dial,
-// while replication links dial the real listeners via ReplTargets.
+// on a loopback listener wrapped in a KillableListener and dials its peers
+// through killable egresses, so a test can crash it (kls); in chaos mode
+// every node additionally sits behind a flaky proxy — the proxy addresses
+// are the ring identities clients dial, while replication links reach the
+// real listeners through the egresses via ReplTargets.
 type testCluster struct {
 	t       *testing.T
 	nodes   []*cluster.Node
-	kls     []*faults.KillableListener
+	kls     []*nodeKill
 	regs    []*obs.Registry
 	ids     []string
 	proxies []*faults.Proxy
@@ -217,14 +220,13 @@ func startClusterMode(t *testing.T, nNodes int, chaos bool, seed int64, mode clu
 	t.Helper()
 	h := &testCluster{t: t}
 	lns := make([]net.Listener, nNodes)
-	targets := make(map[string]string, nNodes)
 	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		lns[i] = ln
-		h.kls = append(h.kls, faults.WrapKillable(ln))
+		h.kls = append(h.kls, &nodeKill{ln: faults.WrapKillable(ln)})
 		id := ln.Addr().String()
 		if chaos {
 			up := faults.Config{Seed: seed + int64(i), Reset: 0.02, Partial: 0.01, Drop: 0.03, Dup: 0.05, Delay: 0.10, MaxDelay: 2 * time.Millisecond}
@@ -238,9 +240,19 @@ func startClusterMode(t *testing.T, nNodes int, chaos bool, seed int64, mode clu
 			id = p.Addr()
 		}
 		h.ids = append(h.ids, id)
-		targets[id] = ln.Addr().String()
 	}
 	for i := range lns {
+		targets := make(map[string]string, nNodes)
+		for j, id := range h.ids {
+			if j != i {
+				e, err := startEgress(lns[j].Addr().String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.kls[i].egress = append(h.kls[i].egress, e)
+				targets[id] = e.Addr().String()
+			}
+		}
 		reg := obs.NewRegistry()
 		h.regs = append(h.regs, reg)
 		n, err := cluster.New(
@@ -251,10 +263,87 @@ func startClusterMode(t *testing.T, nNodes int, chaos bool, seed int64, mode clu
 			t.Fatal(err)
 		}
 		h.nodes = append(h.nodes, n)
-		go n.Serve(h.kls[i]) //nolint:errcheck // closed by Shutdown
+		go n.Serve(h.kls[i].ln) //nolint:errcheck // closed by Shutdown
 	}
 	t.Cleanup(h.stop)
 	return h
+}
+
+// nodeKill crashes and restarts one node of a testCluster: its listener
+// and the egresses its replication links dial out through.
+type nodeKill struct {
+	ln     *faults.KillableListener
+	egress []*egress
+}
+
+// Kill crashes the node: every connection it accepted dies, and until
+// Restart it accepts none and its replication links cannot dial out.
+// Without the egresses a killed node's links would redial and could
+// resync a restarted peer behind the test's back. Links already up are
+// left to drain, as the chaos suite's failover relies on.
+func (k *nodeKill) Kill() {
+	k.ln.Kill()
+	for _, e := range k.egress {
+		e.dead.Store(true)
+	}
+}
+
+// Restart puts the node back in service.
+func (k *nodeKill) Restart() {
+	k.ln.Restart()
+	for _, e := range k.egress {
+		e.dead.Store(false)
+	}
+}
+
+// KillConns is a network blip at the node: the connections it accepted
+// die, and its listener stays in service.
+func (k *nodeKill) KillConns() { k.ln.KillConns() }
+
+// egress is a listener that pipes every connection it accepts to target,
+// and closes it at once while dead. testCluster.stop closes it.
+type egress struct {
+	net.Listener
+	dead atomic.Bool
+}
+
+func startEgress(target string) (*egress, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	e := &egress{Listener: ln}
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if e.dead.Load() {
+				conn.Close()
+				continue
+			}
+			go pipe(conn, target)
+		}
+	}()
+	return e, nil
+}
+
+// pipe copies bytes both ways between conn and a new connection to
+// target until either side closes, then closes both.
+func pipe(conn net.Conn, target string) {
+	defer conn.Close()
+	up, err := net.DialTimeout("tcp", target, 2*time.Second)
+	if err != nil {
+		return
+	}
+	defer up.Close()
+	go func() {
+		io.Copy(up, conn) //nolint:errcheck // either side closing ends the pipe
+		up.Close()
+		conn.Close()
+	}()
+	io.Copy(conn, up) //nolint:errcheck // either side closing ends the pipe
 }
 
 // stop shuts the whole cluster down (idempotent; also registered as the
@@ -270,6 +359,11 @@ func (h *testCluster) stop() {
 		}
 		for _, p := range h.proxies {
 			p.Close()
+		}
+		for _, k := range h.kls {
+			for _, e := range k.egress {
+				e.Close()
+			}
 		}
 	})
 }

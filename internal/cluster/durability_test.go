@@ -1,6 +1,10 @@
 package cluster_test
 
 import (
+	"bufio"
+	"context"
+	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -8,6 +12,8 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
+	"repro/internal/server"
 	"repro/internal/server/client"
 )
 
@@ -225,6 +231,104 @@ func TestClusterAvailableLossWindow(t *testing.T) {
 	}
 	if a := sess.Acked(); a != 10 {
 		t.Errorf("client acked watermark = %d, want 10", a)
+	}
+}
+
+// TestClusterAckAfterLinkDrop: in available mode, an ack the gate
+// withheld while the replica link was up is sent as soon as that link
+// drops — the gate then skips the replica — and not only when the client's
+// connection idles out and resumes. The replica is a fake that welcomes
+// the link and never acks, so the gate withholds every ack until the drop.
+func TestClusterAckAfterLinkDrop(t *testing.T) {
+	const idle = 3 * time.Second
+	ownerLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicaLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replicaLn.Close()
+	owner := ownerLn.Addr().String()
+	links := make(chan net.Conn, 4)
+	opened := make(chan struct{}, 4) // a repl-open arrived: the link is up
+	go func() {
+		for {
+			conn, err := replicaLn.Accept()
+			if err != nil {
+				return
+			}
+			links <- conn
+			go func() {
+				br := bufio.NewReader(conn)
+				if _, err := br.ReadBytes('\n'); err != nil { // the repl-hello
+					return
+				}
+				io.WriteString(conn, `{"type":"repl-welcome"}`+"\n") //nolint:errcheck // the owner redials
+				if _, err := br.ReadBytes('\n'); err != nil {
+					return
+				}
+				opened <- struct{}{}
+				io.Copy(io.Discard, br) //nolint:errcheck // never acks
+			}()
+		}
+	}()
+
+	node, err := cluster.New(
+		server.Config{AckEvery: 2, IdleTimeout: idle, Registry: obs.NewRegistry()},
+		cluster.NodeConfig{Self: owner, Peers: []string{owner, replicaLn.Addr().String()}, Replicas: 2, Registry: obs.NewRegistry()},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go node.Serve(ownerLn) //nolint:errcheck // closed by Shutdown
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		node.Shutdown(ctx) //nolint:errcheck // the test has its verdict
+	}()
+	key := ""
+	for i := 0; key == ""; i++ {
+		if k := fmt.Sprintf("ack-link-drop-%d", i); node.Ring().Successors(k, 2)[0] == owner {
+			key = k
+		}
+	}
+
+	sess, err := client.Dial(owner, clientConfig(key, nil, 31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-opened:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the replication link never came up")
+	}
+	steps := script(1)
+	streamRange(sess, steps, 0, len(steps), true) // seqs 1..10
+	deadline := time.Now().Add(5 * time.Second)
+	for s := node.Server().Session(key); s == nil || s.AckedSeq() < 10; s = node.Server().Session(key) {
+		if time.Now().After(deadline) {
+			t.Fatal("the owner never applied seq 10")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if a := sess.Acked(); a >= 10 {
+		t.Fatalf("acked %d while the replica link was up and silent: the gate withheld nothing", a)
+	}
+
+	// The replica dies: its link closes and redials are refused.
+	replicaLn.Close()
+	(<-links).Close()
+	dropped := time.Now()
+	for sess.Acked() < 10 {
+		if time.Since(dropped) > idle/3 {
+			t.Fatalf("ack 10 not seen %v after the link dropped (acked %d); the idle timeout is %v", idle/3, sess.Acked(), idle)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if _, err := sess.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -456,10 +456,36 @@ func (n *Node) refreshDegradedLocked(hs *hostedSession) {
 
 // linkChangedLocked re-evaluates every hosted session after a link's
 // connectivity changed — the only event, besides registration, that can
-// change a session's degraded state. Caller holds n.mu.
-func (n *Node) linkChangedLocked() {
+// change a session's degraded state, and, besides a replica ack, that can
+// advance its durability watermark: in available mode a replica whose
+// link went down stops gating, so acks the gate withheld may be due now.
+// It returns those sessions' new watermarks, which the caller must pass
+// to offerAcks once it has released n.mu. Caller holds n.mu.
+func (n *Node) linkChangedLocked() []ackOffer {
+	var offers []ackOffer
 	for _, hs := range n.hosted {
 		n.refreshDegradedLocked(hs)
+		if d, ok := n.raiseDurableLocked(hs); ok {
+			offers = append(offers, ackOffer{hs.key, d})
+		}
+	}
+	return offers
+}
+
+// ackOffer is a durability watermark to re-offer as a client ack.
+type ackOffer struct {
+	key string
+	seq int64
+}
+
+// offerAcks re-offers the acks ackGate withheld up to each offer's
+// watermark. Called outside n.mu: Session.Ack may block on a full
+// transport queue.
+func (n *Node) offerAcks(offers []ackOffer) {
+	for _, o := range offers {
+		if sess := n.srv.Session(o.key); sess != nil {
+			sess.Ack(o.seq)
+		}
 	}
 }
 
@@ -470,8 +496,8 @@ func (n *Node) linkChangedLocked() {
 // availability. In durable mode a disconnected replica keeps gating at
 // its last acknowledged seq, so acks stall for the outage and no acked
 // frame can be lost to a subsequent owner death. The withheld tail is
-// released by Ack pushes from noteAcks when replica acks advance the
-// watermark.
+// released by Ack pushes when the watermark advances: from noteAcks on a
+// replica ack, and from offerAcks after a link goes down.
 func (n *Node) ackGate(session string, seq int64) int64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -518,6 +544,17 @@ func (n *Node) durableLocked(hs *hostedSession) (d int64, gated bool) {
 	return d, true
 }
 
+// raiseDurableLocked recomputes the durability watermark of hs, capped
+// at its log, and reports the watermark when that is an advance. Caller
+// holds n.mu.
+func (n *Node) raiseDurableLocked(hs *hostedSession) (int64, bool) {
+	d, gated := n.durableLocked(hs)
+	if !gated || d > int64(len(hs.log)) {
+		d = int64(len(hs.log))
+	}
+	return d, n.advanceDurableLocked(hs, d)
+}
+
 // noteAcks recomputes the durability watermark of key after a replica
 // ack and, when it advances, re-offers the acks that ackGate withheld.
 // Called from a link's ack reader, outside n.mu.
@@ -528,11 +565,7 @@ func (n *Node) noteAcks(key string) {
 		n.mu.Unlock()
 		return
 	}
-	d, gated := n.durableLocked(hs)
-	if !gated || d > int64(len(hs.log)) {
-		d = int64(len(hs.log))
-	}
-	advanced := n.advanceDurableLocked(hs, d)
+	d, advanced := n.raiseDurableLocked(hs)
 	if hs.bye && hs.durable == int64(len(hs.log)) {
 		// Every replica holds the full log through the bye; the hosted
 		// state has done its job.
@@ -540,9 +573,7 @@ func (n *Node) noteAcks(key string) {
 	}
 	n.mu.Unlock()
 	if advanced {
-		if sess := n.srv.Session(key); sess != nil {
-			sess.Ack(d)
-		}
+		n.offerAcks([]ackOffer{{key, d}})
 	}
 }
 

@@ -206,6 +206,8 @@ func (l *peerLink) sendLoop(conn net.Conn) {
 	for k := range l.sent {
 		l.sent[k] = int(l.racked[k])
 	}
+	// A link coming up adds a gating replica, which can only lower the
+	// watermark: there are no acks to offer.
 	n.linkChangedLocked()
 	n.cond.Broadcast() // connectivity change: the ack gate now binds on this link
 	for {
@@ -230,9 +232,10 @@ func (l *peerLink) sendLoop(conn net.Conn) {
 		l.conn = nil
 	}
 	l.abortControlLocked()
-	n.linkChangedLocked()
+	offers := n.linkChangedLocked()
 	n.cond.Broadcast()
 	n.mu.Unlock()
+	n.offerAcks(offers)
 }
 
 // abortControlLocked drops this link's queued control messages and fails
@@ -362,15 +365,17 @@ loop:
 		}
 	}
 	conn.Close()
+	var offers []ackOffer
 	n.mu.Lock()
 	if l.conn == conn {
 		l.conn = nil
 		l.connected = false
 		l.abortControlLocked()
-		n.linkChangedLocked()
+		offers = n.linkChangedLocked()
 	}
 	n.cond.Broadcast()
 	n.mu.Unlock()
+	n.offerAcks(offers)
 }
 
 // serveRepl is the replica side of a replication link: it runs on the

@@ -1,10 +1,7 @@
 package faults
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -15,11 +12,20 @@ import (
 
 // Proxy is a flaky TCP proxy for the server's wire protocol: it
 // forwards complete frames — NDJSON lines or length-prefixed binary
-// frames, distinguished by the first byte — between client and server,
-// making one seeded fault decision per frame per direction. Unlike Conn
-// it can corrupt both directions of a dialog, which is what a chaos
-// test needs — acks and verdict pushes are as faultable as event
-// frames.
+// frames — between client and server, making one seeded fault decision
+// per frame per direction. Unlike Conn it can corrupt both directions of
+// a dialog, which is what a chaos test needs — acks and verdict pushes
+// are as faultable as event frames.
+//
+// Frames are read with server.FrameScanner, the same bounded reader the
+// peers use, and forwarded re-framed: a binary frame by
+// server.AppendBinaryFrame, a line with a "\n" terminator. For the frames
+// the peers send that is the bytes they sent. It differs from forwarding
+// raw bytes in three cases: a frame over server.MaxFrameBytes (either
+// encoding) is not forwarded but severs the connection; an unterminated
+// last line is forwarded with a terminator before the sender's EOF severs
+// the connection; and a "\r\n" terminator or an overlong length prefix is
+// forwarded in its canonical form.
 type Proxy struct {
 	ln     net.Listener
 	target string
@@ -122,15 +128,12 @@ func (p *Proxy) acceptLoop() {
 	}
 }
 
-// pump forwards frames src → dst, one fault decision per frame. A
-// frame is an NDJSON line or — when the first byte is the binary frame
-// magic — a whole length-prefixed binary frame, so drop/dup/partial
-// faults act on protocol units in either encoding (a Partial cuts a
-// binary frame at an arbitrary byte offset, truncating its payload
-// mid-event). Any fault that severs the stream (reset, partial) closes
-// both legs so the peerwise failure is symmetric; so do src EOF and a
-// frame header the proxy cannot trust (declared length beyond the
-// protocol bound).
+// pump forwards frames src → dst, one fault decision per frame, so
+// drop/dup/partial faults act on protocol units in either encoding (a
+// Partial cuts a binary frame at an arbitrary byte offset, truncating its
+// payload mid-event). Any fault that severs the stream (reset, partial)
+// closes both legs so the peerwise failure is symmetric; so do src EOF
+// and a frame the scanner refuses (oversized or truncated).
 func (p *Proxy) pump(src, dst net.Conn, r *roller) {
 	defer p.wg.Done()
 	defer func() {
@@ -139,89 +142,38 @@ func (p *Proxy) pump(src, dst net.Conn, r *roller) {
 		p.untrack(src)
 		p.untrack(dst)
 	}()
-	br := bufio.NewReader(src)
-	for {
-		frame, err := readWireFrame(br)
-		if len(frame) > 0 {
-			switch r.roll() {
-			case actReset:
+	sc := server.NewFrameScanner(src)
+	var frame []byte
+	for sc.Scan() {
+		if sc.Binary() {
+			frame = server.AppendBinaryFrame(frame[:0], sc.BinaryType(), sc.Bytes())
+		} else {
+			frame = append(append(frame[:0], sc.Bytes()...), '\n')
+		}
+		switch r.roll() {
+		case actReset:
+			return
+		case actPartial:
+			dst.Write(frame[:r.cut(len(frame))]) //nolint:errcheck // severing anyway
+			return
+		case actDrop:
+			continue
+		case actDup:
+			if _, err := dst.Write(frame); err != nil {
 				return
-			case actPartial:
-				dst.Write(frame[:r.cut(len(frame))]) //nolint:errcheck // severing anyway
+			}
+			if _, err := dst.Write(frame); err != nil {
 				return
-			case actDrop:
-				continue
-			case actDup:
-				if _, werr := dst.Write(frame); werr != nil {
-					return
-				}
-				if _, werr := dst.Write(frame); werr != nil {
-					return
-				}
-				// fall through to the err check below
-			case actDelay:
-				time.Sleep(r.delay())
-				fallthrough
-			default:
-				if _, werr := dst.Write(frame); werr != nil {
-					return
-				}
+			}
+		case actDelay:
+			time.Sleep(r.delay())
+			fallthrough
+		default:
+			if _, err := dst.Write(frame); err != nil {
+				return
 			}
 		}
-		if err != nil {
-			return
-		}
 	}
-}
-
-// errFrameHeader marks a binary frame header the proxy refuses to
-// forward piecemeal: an overlong or oversized length prefix.
-var errFrameHeader = errors.New("faults: unforwardable binary frame header")
-
-// readWireFrame reads one protocol frame: a binary frame when the
-// first byte is the frame magic, an NDJSON line otherwise. The bytes
-// are returned exactly as read so forwarding is transparent. As with
-// bufio's ReadBytes, a non-empty frame may accompany an error (an
-// unterminated trailing line).
-func readWireFrame(br *bufio.Reader) ([]byte, error) {
-	first, err := br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	if first != server.FrameMagic {
-		br.UnreadByte() //nolint:errcheck // always follows a successful ReadByte
-		return br.ReadBytes('\n')
-	}
-	frame := []byte{first}
-	typ, err := br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	frame = append(frame, typ)
-	var ln uint64
-	for shift := uint(0); ; shift += 7 {
-		b, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		frame = append(frame, b)
-		ln |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			break
-		}
-		if shift > 56 {
-			return nil, errFrameHeader
-		}
-	}
-	if ln > server.MaxFrameBytes {
-		return nil, errFrameHeader
-	}
-	off := len(frame)
-	frame = append(frame, make([]byte, ln)...)
-	if _, err := io.ReadFull(br, frame[off:]); err != nil {
-		return nil, err
-	}
-	return frame, nil
 }
 
 // String describes the proxy for logs.

@@ -247,6 +247,85 @@ func TestNDJSONGatherDropUnit(t *testing.T) {
 	}
 }
 
+// TestBinaryBatchDropUnit: under the drop policy a client's binary batch
+// frames follow the rule gathered NDJSON lines follow — a batch without
+// an init row is shed whole when the queue cannot take it, and a batch
+// with one is never shed. The head (P2's init and P1's first events) is
+// applied before the burst; then the goodbye accounts for every event
+// row, the AG watch on P2's init never fires, every late init draws its
+// rejection, and each batch frame is counted once.
+func TestBinaryBatchDropUnit(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, addr := startServer(t, server.Config{QueueDepth: 2, Overflow: server.OverflowDrop, IngestDelay: time.Millisecond, Registry: reg})
+	r := dialRaw(t, addr)
+	r.send(`{"type":"hello","processes":2,"encoding":"binary","watches":[{"op":"AG","pred":"conj(y@P2 == 5)"}]}`)
+	r.recvType(server.FrameWelcome)
+	const frames, rows, every = 150, 4, 50
+	var (
+		burst []byte
+		vt    pir.VarTable
+		b     pir.Batch
+		x     int
+	)
+	appendFrame := func() {
+		burst = server.AppendBinaryFrame(burst, server.BinBatch, pir.AppendBatch(nil, 0, &b, &vt))
+		b.Reset()
+	}
+	appendEvents := func() {
+		for j := 0; j < rows; j++ {
+			b.AddEvent(1, pir.EvInternal, 0, map[string]int{"x": x})
+			x++
+		}
+		appendFrame()
+	}
+	write := func() {
+		if _, err := r.conn.Write(burst); err != nil {
+			t.Fatal(err)
+		}
+		burst = burst[:0]
+	}
+	b.AddInit(2, "y", 5)
+	appendFrame()
+	appendEvents()
+	write()
+	r.send(`{"type":"snapshot","id":1,"formula":"EF(conj(y@P2 == 5))"}`)
+	r.recvType(server.FrameSnapshot) // the head is applied
+	for i := 0; i < frames; i++ {
+		appendEvents()
+		if i%every == every-1 {
+			b.AddInit(1, "late", 1)
+			appendFrame()
+		}
+	}
+	burst = append(burst, `{"type":"bye"}`+"\n"...)
+	write()
+	lateInits := 0
+	var gb server.ServerFrame
+	for gb.Type != server.FrameGoodbye {
+		switch gb = r.recv(); {
+		case gb.Type == server.FrameError && strings.Contains(gb.Error, "init for process 1 after its events"):
+			lateInits++
+		case gb.Type == server.FrameVerdict:
+			t.Errorf("AG on P2's init fired at event %d: the init batch was dropped", gb.Event)
+		}
+	}
+	if gb.Events+gb.Dropped != x {
+		t.Fatalf("events %d + dropped %d != %d sent", gb.Events, gb.Dropped, x)
+	}
+	if gb.Dropped == 0 || gb.Dropped%rows != 0 {
+		t.Fatalf("dropped %d events: want whole batches of %d, and some", gb.Dropped, rows)
+	}
+	if lateInits != frames/every {
+		t.Errorf("%d of the %d late inits were rejected: the others were dropped", lateInits, frames/every)
+	}
+	if got := reg.Counter("hb_server_events_dropped_total", "").Value(); got != int64(gb.Dropped) {
+		t.Errorf("events_dropped_total = %d, goodbye says %d", got, gb.Dropped)
+	}
+	if got, want := reg.Counter("hb_server_batches_total", "").Value(), int64(2+frames+frames/every); got != want {
+		t.Errorf("batches_total = %d, want the %d batch frames sent", got, want)
+	}
+}
+
 // TestNDJSONGatherAcks: seqs 1–10 of a resumable session in one write
 // arrive as few gathered batches, and an ack is sent whenever a batch's
 // seqs cross a multiple of AckEvery. The acks are cumulative and cover 4

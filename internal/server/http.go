@@ -22,9 +22,9 @@ import (
 // janitor reclaims sessions whose clients vanish.
 func RegisterHTTP(mux *http.ServeMux, srv *Server) {
 	mux.HandleFunc("POST /api/sessions", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, MaxFrameBytes))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxFrameBytes))
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "read body: %v", err)
+			readError(w, srv, err)
 			return
 		}
 		f, err := DecodeClientFrame(body)
@@ -100,12 +100,7 @@ func RegisterHTTP(mux *http.ServeMux, srv *Server) {
 		// A line over MaxFrameBytes or a failed read ends the scan early:
 		// the lines after it were not ingested, so the request failed.
 		if err := sc.Err(); err != nil {
-			srv.met.protoErrors.Inc()
-			status, code := http.StatusBadRequest, ""
-			if errors.Is(err, ErrFrameTooLong) {
-				status, code = http.StatusRequestEntityTooLarge, CodeFrameTooLong
-			}
-			writeJSON(w, status, ServerFrame{Type: FrameError, Code: code, Error: "read body: " + err.Error()})
+			readError(w, srv, err)
 			return
 		}
 		// Barrier: the ack's accounting must cover the batch it acks.
@@ -139,9 +134,9 @@ func RegisterHTTP(mux *http.ServeMux, srv *Server) {
 			httpError(w, http.StatusNotFound, "no such session")
 			return
 		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, MaxFrameBytes))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxFrameBytes))
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "read body: %v", err)
+			readError(w, srv, err)
 			return
 		}
 		f, err := DecodeClientFrame(body)
@@ -176,6 +171,19 @@ func RegisterHTTP(mux *http.ServeMux, srv *Server) {
 		}
 		writeJSON(w, http.StatusOK, ServerFrame{Type: FrameGoodbye, Session: sess.ID()})
 	})
+}
+
+// readError answers a request whose body could not be read: 413 with
+// code frame-too-long for a frame, line or body over its bound, as TCP
+// answers an oversized frame, else 400.
+func readError(w http.ResponseWriter, srv *Server, err error) {
+	srv.met.protoErrors.Inc()
+	status, code := http.StatusBadRequest, ""
+	var tooBig *http.MaxBytesError
+	if errors.Is(err, ErrFrameTooLong) || errors.As(err, &tooBig) {
+		status, code = http.StatusRequestEntityTooLarge, CodeFrameTooLong
+	}
+	writeJSON(w, status, ServerFrame{Type: FrameError, Code: code, Error: "read body: " + err.Error()})
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {

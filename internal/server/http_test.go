@@ -164,6 +164,45 @@ func TestHTTPEventsFrameTooLong(t *testing.T) {
 	}
 }
 
+// TestHTTPHelloFrameTooLong: a hello body over MaxFrameBytes is refused
+// with a typed 413, not cut at the bound and refused as malformed JSON,
+// and no session is opened.
+func TestHTTPHelloFrameTooLong(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv, ts := startHTTP(t, server.Config{Registry: reg})
+	body := strings.Repeat(" ", server.MaxFrameBytes) + `{"processes":1}`
+	fr := do(t, "POST", ts.URL+"/api/sessions", body, http.StatusRequestEntityTooLarge)
+	if fr.Type != server.FrameError || fr.Code != server.CodeFrameTooLong {
+		t.Fatalf("got %+v, want a %s error frame", fr, server.CodeFrameTooLong)
+	}
+	if n := srv.SessionCount(); n != 0 {
+		t.Fatalf("%d sessions open after a refused hello", n)
+	}
+	if got := reg.Counter("hb_server_protocol_errors_total", "").Value(); got != 1 {
+		t.Fatalf("%d protocol errors counted, want 1", got)
+	}
+}
+
+// TestHTTPSnapshotFrameTooLong: a snapshot body over MaxFrameBytes is
+// refused with a typed 413, and the session stays open for the next one.
+func TestHTTPSnapshotFrameTooLong(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, ts := startHTTP(t, server.Config{Registry: reg})
+	welcome := do(t, "POST", ts.URL+"/api/sessions", `{"processes":1}`, http.StatusCreated)
+	base := ts.URL + "/api/sessions/" + welcome.Session
+	body := strings.Repeat(" ", server.MaxFrameBytes) + `{"type":"snapshot","formula":"EF(conj(x@P1 == 0))"}`
+	fr := do(t, "POST", base+"/snapshot", body, http.StatusRequestEntityTooLarge)
+	if fr.Type != server.FrameError || fr.Code != server.CodeFrameTooLong {
+		t.Fatalf("got %+v, want a %s error frame", fr, server.CodeFrameTooLong)
+	}
+	if got := reg.Counter("hb_server_protocol_errors_total", "").Value(); got != 1 {
+		t.Fatalf("%d protocol errors counted, want 1", got)
+	}
+	if fr := do(t, "POST", base+"/snapshot", `{"type":"snapshot","formula":"EF(conj(x@P1 == 0))"}`, http.StatusOK); fr.Holds == nil || !*fr.Holds {
+		t.Fatalf("snapshot after the refused one = %+v, want holds", fr)
+	}
+}
+
 func itoa(n int) string {
 	return string(rune('0' + n))
 }

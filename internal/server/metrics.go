@@ -41,9 +41,9 @@ type metrics struct {
 // Pipeline stages (hb_server_stage_seconds labels), in traversal order.
 const (
 	StageAccept  = "accept"  // connection handshake: first frame read → session attached
-	StageDecode  = "decode"  // one NDJSON line → ClientFrame
-	StageEnqueue = "enqueue" // ingest call → frame queued (blocking = backpressure)
-	StageApply   = "apply"   // monitor step: frame applied to detection state
+	StageDecode  = "decode"  // one frame, and the lines gathered with it → ClientFrames
+	StageEnqueue = "enqueue" // ingest call → unit queued (blocking = backpressure)
+	StageApply   = "apply"   // monitor step: unit applied to detection state
 	StageVerdict = "verdict" // watch latch → verdict frame emitted
 )
 
@@ -108,7 +108,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		journaled: reg.Counter("hb_server_events_journaled_total",
 			"Events applied from sequenced frames of resumable sessions (must reconcile with hb_server_events_total)."),
 		batches: reg.Counter("hb_server_batches_total",
-			"Wire batch frames handed to the apply loop (each carries many events under one seq)."),
+			"Client batch frames the TCP reader accepted (each carries many events under one seq)."),
 		resumesOK: reg.Counter(`hb_server_resumes_total{result="ok"}`,
 			"Resume handshakes by outcome."),
 		resumesRej: reg.Counter(`hb_server_resumes_total{result="rejected"}`,

@@ -21,10 +21,14 @@ const (
 	// through the TCP window, the remote client) waits until the
 	// session's monitor loop catches up. The default.
 	OverflowBlock OverflowPolicy = iota
-	// OverflowDrop sheds the event and counts it (session Dropped,
-	// hb_server_events_dropped_total) so ingest never stalls. A lossy
-	// session keeps running best-effort: dropping a send whose receive
-	// later arrives surfaces as an error frame on that receive.
+	// OverflowDrop sheds a batch of events whole when the queue cannot
+	// take it — a client batch frame, or the lines the TCP reader gathered
+	// from one read — and counts its events (session Dropped,
+	// hb_server_events_dropped_total), so event ingest never stalls.
+	// Batches with an init row, snapshots and rejections wait for room;
+	// resumable sessions always block. A lossy session keeps running
+	// best-effort: dropping a send whose receive later arrives surfaces
+	// as an error frame on that receive.
 	OverflowDrop
 )
 
@@ -57,7 +61,8 @@ func ParseOverflowPolicy(s string) (OverflowPolicy, error) {
 type Config struct {
 	// QueueDepth is the per-session ingest queue capacity (default 256).
 	QueueDepth int
-	// Overflow is the policy applied when a session queue is full.
+	// Overflow is the policy applied when a session queue is full; see
+	// OverflowDrop for what the drop policy sheds.
 	Overflow OverflowPolicy
 	// MaxSessions caps concurrently open sessions (default 1024).
 	MaxSessions int

@@ -87,28 +87,31 @@ func buildWatches(n int, watches []Watch) ([]*watchState, error) {
 	return ws, nil
 }
 
-// inFrame is one queued unit of ingest work.
-type inFrame struct {
-	f    ClientFrame
-	enq  time.Time
-	resp chan ServerFrame // non-nil for requests awaiting an in-band reply
-	span *obs.Span        // the frame's pipeline span (nil when tracing is off)
-	// gathered marks a batch the TCP reader gathered from single init/event
-	// lines (f.Type is FrameBatch), not a batch frame the client sent.
-	gathered bool
-}
+// unitKind says what a queued unit asks of the monitor loop.
+type unitKind uint8
 
-// sheddable returns the events the drop overflow policy may shed with in:
-// a lone event frame, or a gathered batch that carries no init row. Inits
-// are never shed, so a batch with one blocks as a lone init does.
-func (in *inFrame) sheddable() int64 {
-	switch {
-	case in.f.Type == FrameEvent:
-		return 1
-	case in.gathered && bytes.IndexByte(in.f.Batch.Kinds, pir.EvInit) < 0:
-		return int64(in.f.Batch.Len())
-	}
-	return 0
+const (
+	unitBatch    unitKind = iota // apply the rows of batch
+	unitReject                   // report text as this unit's rejection
+	unitSnapshot                 // run the offline query text on the prefix
+	unitFlush                    // answer resp once everything before it is applied
+)
+
+// unitTypes names the kinds on the frame span's "type" attribute.
+var unitTypes = [...]string{unitBatch: "batch", unitReject: "reject", unitSnapshot: "snapshot"}
+
+// inFrame is one queued unit of ingest work. The transports turn wire
+// frames into units (the TCP reader's gather, Session.Ingest for every
+// other caller), so the monitor loop never sees a ClientFrame.
+type inFrame struct {
+	batch *pir.Batch       // unitBatch: the rows, recycled after apply
+	resp  chan ServerFrame // non-nil for requests awaiting an in-band reply
+	span  *obs.Span        // the unit's pipeline span (nil when tracing is off)
+	enq   time.Time
+	seq   int64  // the last seq the unit consumes (0 when unsequenced)
+	text  string // unitReject: the rejection; unitSnapshot: the formula
+	id    int    // echoed on the unit's rejections and snapshot answer
+	kind  unitKind
 }
 
 // attachment is one transport subscription (a TCP connection's writer).
@@ -157,7 +160,6 @@ type Session struct {
 	curSpan    *obs.Span   // the frame span being applied (verdict spans parent here)
 	registered bool        // watches registered (deferred until the first event)
 	msgIDs     map[int]int // wire msg id → monitor msg id
-	row        pir.Batch   // the one-row batch a single init/event frame applies as (reused)
 	seen       int         // events applied
 	retained   int64       // last Retained() published to the gauge
 	latched    int         // mon.Latched() at the last watch scan
@@ -382,84 +384,96 @@ func (s *Session) Close(reason string) {
 	})
 }
 
-// Ingest enqueues one frame, applying the server's overflow policy when
-// the session queue is full: block propagates backpressure to the
-// caller, drop sheds the event (counted on the session and the
-// registry). Only event frames are ever dropped; init and snapshot
-// frames always block.
+// Ingest turns one frame into a queue unit and enqueues it: an init or
+// event frame becomes a one-row batch, a batch frame its own batch once
+// its columns validate, a snapshot frame a query whose answer is emitted
+// to the attached transport. A frame that cannot become rows is queued as
+// its rejection, so the error keeps its place in the stream. It is the
+// one frame-to-unit adapter (HTTP /events, recovery replay, and the TCP
+// reader's batch and snapshot frames); only the reader's gather of
+// init/event lines builds units itself. When the queue is full the
+// server's overflow policy applies: block propagates backpressure to the
+// caller, drop sheds a batch without an init row (counted on the session
+// and the registry). Inits, snapshots and rejections always block.
 func (s *Session) Ingest(f ClientFrame) error {
-	return s.enqueue(inFrame{f: f, enq: time.Now()})
-}
-
-// ingestGathered enqueues the rows the TCP reader gathered from single
-// init/event lines as one batch carrying the last accepted seq. The loop
-// applies it through handleBatch, as it would the lines one by one; the
-// drop policy sheds it as one unit (see sheddable). An empty batch is
-// recycled.
-func (s *Session) ingestGathered(b *pir.Batch, seq int64) error {
-	if b.Len() == 0 {
-		b.Recycle()
-		return nil
+	u := inFrame{id: f.ID, enq: time.Now()}
+	var why string
+	switch f.Type {
+	case FrameInit, FrameEvent:
+		u.seq, u.batch = f.Seq, pir.GetBatch()
+		why = AppendRow(u.batch, &f, s.n)
+	case FrameBatch:
+		// Binary decode only constructs valid batches; JSON-decoded ones
+		// (NDJSON clients) are untrusted shapes.
+		u.seq, u.batch = f.Seq, f.Batch
+		if f.Batch == nil {
+			why = "batch frame without batch columns"
+		} else if err := f.Batch.Validate(); err != nil {
+			why = err.Error()
+		}
+	case FrameSnapshot:
+		u.kind, u.text = unitSnapshot, f.Formula
+	default:
+		why = fmt.Sprintf("unknown frame type %q", f.Type)
 	}
-	return s.enqueue(inFrame{f: ClientFrame{Type: FrameBatch, Seq: seq, Batch: b}, enq: time.Now(), gathered: true})
+	if why != "" {
+		u.batch.Recycle()
+		u.batch, u.kind, u.text = nil, unitReject, why
+	}
+	return s.enqueue(u)
 }
 
 func (s *Session) enqueue(in inFrame) error {
-	var es *obs.Span
-	if s.tracer != nil && in.f.Type != frameFlush {
-		// The frame span starts at ingest time and ends when the monitor
-		// loop has applied the frame; its children are the pipeline stages.
+	if s.tracer != nil && in.kind != unitFlush {
+		// The unit span starts at ingest time and ends when the monitor
+		// loop has applied the unit; its children are the pipeline stages.
 		fs := s.tracer.StartAt("frame", s.span.Context(), in.enq)
-		fs.Set("service", "transport").Set("type", in.f.Type)
-		if in.gathered {
-			fs.Set("lines", in.f.Batch.Len())
+		fs.Set("service", "transport").Set("type", unitTypes[in.kind])
+		if in.batch != nil {
+			fs.Set("rows", in.batch.Len())
 		}
-		if in.f.Proc != 0 {
-			fs.Set("proc", in.f.Proc)
-		}
-		if in.f.Seq != 0 {
-			fs.Set("seq", in.f.Seq)
+		if in.seq != 0 {
+			fs.Set("seq", in.seq)
 		}
 		in.span = fs
-		es = fs.StartChild("enqueue").Set("service", "transport")
 	}
 	start := time.Now()
 	err := s.enqueueRaw(in)
-	if in.f.Type != frameFlush { // flush barriers would skew the stage
+	if in.kind != unitFlush { // flush barriers would skew the stage
 		s.srv.met.stage(StageEnqueue, time.Since(start))
 	}
-	if es != nil {
-		es.End()
-	}
-	if err != nil && in.span != nil {
-		// The frame never reaches the monitor loop; close its span here.
-		in.span.Set("error", err.Error())
-		in.span.End()
+	if err != nil {
+		// The unit never reaches the monitor loop; close its spans here.
+		in.batch.Recycle()
+		if in.span != nil {
+			s.tracer.StartAt("enqueue", in.span.Context(), in.enq).Set("service", "transport").End()
+			in.span.Set("error", err.Error())
+			in.span.End()
+		}
 	}
 	return err
 }
 
+// enqueueRaw queues in, shedding it under OverflowDrop when it is a batch
+// without an init row that the queue cannot take: the queue is full, or
+// units are waiting (each at least one event) and its rows would take the
+// queue past its depth. Into an empty queue a batch goes whole. Resumable
+// sessions always block: shedding an accepted sequenced frame would
+// violate exactly-once ingestion (the client has been told, via the seq
+// high-water mark, not to resend it).
 func (s *Session) enqueueRaw(in inFrame) error {
-	// Resumable sessions always block: shedding an accepted sequenced
-	// frame would violate exactly-once ingestion (the client has been
-	// told, via the seq high-water mark, not to resend it).
-	if s.srv.cfg.Overflow == OverflowDrop && !s.resumable {
-		if n := in.sheddable(); n > 0 {
-			// A gathered batch is shed when the queue cannot take its
-			// events: frames are waiting (each at least one event) and its
-			// own would take the queue past its depth. Into an empty queue
-			// it goes whole, as a lone event would.
-			if q := len(s.queue); in.gathered && q > 0 && q+int(n) > cap(s.queue) {
-				return s.shed(n)
-			}
-			select {
-			case s.queue <- in:
-				return nil
-			case <-s.stop:
-				return ErrClosed
-			default:
-				return s.shed(n)
-			}
+	if s.srv.cfg.Overflow == OverflowDrop && !s.resumable && in.kind == unitBatch && bytes.IndexByte(in.batch.Kinds, pir.EvInit) < 0 {
+		n := in.batch.Len()
+		if q := len(s.queue); q > 0 && q+n > cap(s.queue) {
+			return s.shed(int64(n))
+		}
+		select {
+		case s.queue <- in:
+			return nil
+		case <-s.stop:
+			return ErrClosed
+		default:
+			return s.shed(int64(n))
 		}
 	}
 	select {
@@ -477,28 +491,12 @@ func (s *Session) shed(n int64) error {
 	return ErrDropped
 }
 
-// frameFlush is an internal queue barrier (never valid on the wire).
-const frameFlush = "flush"
-
-// Flush blocks until every frame enqueued before it has been applied by
+// Flush blocks until every unit enqueued before it has been applied by
 // the monitor loop — the barrier the HTTP batch ack uses so its
 // accounting covers the batch it acknowledges.
 func (s *Session) Flush() error {
-	resp := make(chan ServerFrame, 1)
-	if err := s.enqueue(inFrame{f: ClientFrame{Type: frameFlush}, resp: resp}); err != nil {
-		return err
-	}
-	select {
-	case <-resp:
-		return nil
-	case <-s.done:
-		select {
-		case <-resp:
-			return nil
-		default:
-			return ErrClosed
-		}
-	}
+	_, err := s.request(inFrame{kind: unitFlush})
+	return err
 }
 
 // Snapshot freezes the session's observed prefix and runs an offline
@@ -506,29 +504,27 @@ func (s *Session) Flush() error {
 // the session queue, so the verdict refers to a consistent prefix: every
 // event enqueued before it is applied, none after.
 func (s *Session) Snapshot(formula string, id int) (ServerFrame, error) {
-	resp := make(chan ServerFrame, 1)
-	in := inFrame{
-		f:    ClientFrame{Type: FrameSnapshot, Formula: formula, ID: id},
-		enq:  time.Now(),
-		resp: resp,
+	fr, err := s.request(inFrame{kind: unitSnapshot, text: formula, id: id, enq: time.Now()})
+	if err == nil && fr.Type == FrameError {
+		err = errors.New(fr.Error)
 	}
+	return fr, err
+}
+
+// request queues in with a reply channel and waits for the loop's answer.
+// The loop answers every queued request, even while draining on Close, so
+// waiting on done (not stop) cannot lose the answer.
+func (s *Session) request(in inFrame) (ServerFrame, error) {
+	in.resp = make(chan ServerFrame, 1)
 	if err := s.enqueue(in); err != nil {
 		return ServerFrame{}, err
 	}
-	// The loop always answers queued requests, even while draining on
-	// Close, so waiting on done (not stop) cannot lose the response.
 	select {
-	case fr := <-resp:
-		if fr.Type == FrameError {
-			return fr, errors.New(fr.Error)
-		}
+	case fr := <-in.resp:
 		return fr, nil
 	case <-s.done:
 		select {
-		case fr := <-resp:
-			if fr.Type == FrameError {
-				return fr, errors.New(fr.Error)
-			}
+		case fr := <-in.resp:
 			return fr, nil
 		default:
 			return ServerFrame{}, ErrClosed
@@ -589,6 +585,9 @@ func (s *Session) finish() {
 		// must not shadow the tombstone redirect to the new owner.
 		s.srv.retire(s.id, s.Welcome(), record, gb, s.enqSeq.Load())
 	}
+	// Removed before the goodbye is pushed: a client that has read its
+	// goodbye finds the session gone from the table and the gauges.
+	s.srv.remove(s.id)
 	if att != nil {
 		select {
 		case att.ch <- gb:
@@ -600,71 +599,52 @@ func (s *Session) finish() {
 		s.span.Set("error", gb.Error)
 	}
 	s.span.End()
-	s.srv.remove(s.id)
 	close(s.done)
 }
 
-func (s *Session) handle(f inFrame) {
+func (s *Session) handle(u inFrame) {
 	s.lastActive.Store(time.Now().UnixNano())
-	// The apply span covers the monitor step for this frame; verdict
-	// spans latched by it parent under the frame span via curSpan.
-	applyStart := time.Now()
-	as := f.span.StartChild("apply")
-	as.Set("service", "monitor")
-	s.curSpan = f.span
-	defer func() {
-		s.curSpan = nil
-		if f.f.Type == FrameInit || f.f.Type == FrameEvent || f.f.Type == FrameBatch || f.f.Type == FrameSnapshot {
-			s.srv.met.stage(StageApply, time.Since(applyStart))
-		}
-		as.Set("event", s.seen)
-		as.End()
-		if f.span != nil {
-			f.span.End()
-		}
-	}()
-	switch f.f.Type {
-	case FrameInit, FrameEvent:
-		var applied int64
-		s.row.Reset()
-		if why := AppendRow(&s.row, &f.f, s.n); why != "" {
-			s.reject(f, why)
-		} else {
-			f.f.Batch = &s.row
-			applied = s.handleBatch(f)
-		}
-		s.noteSeq(f.f.Seq, applied)
-	case FrameBatch:
-		if !f.gathered {
-			s.srv.met.batches.Inc()
-		}
-		s.noteSeq(f.f.Seq, s.handleBatch(f))
-		f.f.Batch.Recycle() // no-op unless the batch came from the binary decode pool
-	case FrameSnapshot:
-		s.handleSnapshot(f)
-	case frameFlush:
-		if f.resp == nil { // arrived over the wire, where flush is not a frame
-			s.reject(f, fmt.Sprintf("unknown frame type %q", f.f.Type))
-			return
-		}
-		f.resp <- ServerFrame{Type: FrameAck}
-	default:
-		s.reject(f, fmt.Sprintf("unknown frame type %q", f.f.Type))
+	if u.kind == unitFlush {
+		u.resp <- ServerFrame{Type: FrameAck}
+		return
 	}
+	// The enqueue span covers the send and the wait in the queue, so it
+	// ends here, before the apply span starts. The apply span covers the
+	// monitor step; verdict spans it latches parent under the unit span
+	// via curSpan.
+	s.tracer.StartAt("enqueue", u.span.Context(), u.enq).Set("service", "transport").End()
+	applyStart := time.Now()
+	as := u.span.StartChild("apply")
+	as.Set("service", "monitor")
+	s.curSpan = u.span
+	switch u.kind {
+	case unitBatch:
+		s.noteSeq(u.seq, s.handleBatch(u))
+		u.batch.Recycle() // no-op unless the batch came from the pool
+	case unitReject:
+		s.reject(u, u.text)
+		s.noteSeq(u.seq, 0)
+	case unitSnapshot:
+		s.handleSnapshot(u)
+	}
+	s.curSpan = nil
+	s.srv.met.stage(StageApply, time.Since(applyStart))
+	as.Set("event", s.seen)
+	as.End()
+	u.span.End()
 }
 
-// noteSeq finishes the monitor loop's side of a sequenced frame: the
-// applied high-water mark advances (a semantically rejected frame still
-// consumes its seq — redelivering it must not re-error), and an ack is
-// pushed whenever the seqs the frame applies cross a multiple of
-// AckEvery, so the client can release its in-flight copies. A frame
-// applies one seq, except a gathered batch, which applies every seq from
-// the previous mark up to its own. The transport guarantees in-order,
-// gap-free, duplicate-free delivery into the queue, so the loop sees each
-// seq exactly once in order; the guard is defensive. applied is the
-// number of events the frame applied to the monitor — 0 or 1 for single
-// frames, up to the batch length for a batch — keeping the journaled ==
-// events reconciliation exact under batching.
+// noteSeq finishes the monitor loop's side of a sequenced unit: the
+// applied high-water mark advances (a rejected frame still consumes its
+// seq — redelivering it must not re-error), and an ack is pushed whenever
+// the seqs the unit applies cross a multiple of AckEvery, so the client
+// can release its in-flight copies. A unit applies every seq from the
+// previous mark up to its own: one for a client batch or a rejection,
+// one per accepted line for a gathered batch. The transport guarantees
+// in-order, gap-free, duplicate-free delivery into the queue, so the loop
+// sees each seq exactly once in order; the guard is defensive. applied is
+// the number of events the unit applied to the monitor, keeping the
+// journaled == events reconciliation exact under batching.
 func (s *Session) noteSeq(seq, applied int64) {
 	if !s.resumable || seq == 0 {
 		return
@@ -712,11 +692,11 @@ func (s *Session) Ack(seq int64) {
 // reject reports a non-fatal protocol error back to the client. The
 // session keeps running: semantic errors are per-frame, and a lossy
 // (drop-policy) session routinely produces them.
-func (s *Session) reject(f inFrame, msg string) {
+func (s *Session) reject(u inFrame, msg string) {
 	s.srv.met.protoErrors.Inc()
-	fr := ServerFrame{Type: FrameError, Session: s.id, ID: f.f.ID, Event: s.seen, Error: msg}
-	if f.resp != nil {
-		f.resp <- fr
+	fr := ServerFrame{Type: FrameError, Session: s.id, ID: u.id, Event: s.seen, Error: msg}
+	if u.resp != nil {
+		u.resp <- fr
 		return
 	}
 	s.emit(fr, true)
@@ -762,9 +742,10 @@ const (
 	errUnknownMsg = "receive of unknown message %d (dropped or unsent)"
 )
 
-// AppendRow appends the row a single init/event frame carries to b, so
-// that every encoding applies through handleBatch and the cluster logs the
-// row the session applies. It returns the rejection text for what a batch
+// AppendRow appends the row a single init/event frame carries to b: the
+// one frame-to-row conversion, shared by the TCP reader's gather, Ingest
+// and the cluster's log encoder, so the cluster logs the row the session
+// applies. It returns the rejection text for what a batch
 // row cannot carry — an unknown event kind, or a proc or msg that would
 // alias another id when narrowed to the int32 columns — leaving b as it
 // was, and "" once the row is appended. n is the session's process count,
@@ -801,25 +782,14 @@ func AppendRow(b *pir.Batch, f *ClientFrame, n int) string {
 }
 
 // handleBatch is the one place events reach the monitor. It applies the
-// rows of a batch — a wire batch frame, a batch the TCP reader gathered,
-// or the one-row batch AppendRow made of a single frame — in order:
-// per-row semantic errors are rejected individually and the rest of the
-// batch continues, and every applied event checks the watches, so verdict
-// determining prefixes do not depend on how the stream was split into
-// frames. Returns the number of events
-// applied (inits and rejected rows do not count).
+// rows of a batch unit — a client batch frame, or the rows the TCP reader
+// gathered or Ingest made of single frames — in order: per-row semantic
+// errors are rejected individually and the rest of the batch continues,
+// and every applied event checks the watches, so verdict determining
+// prefixes do not depend on how the stream was split into frames. Returns
+// the number of events applied (inits and rejected rows do not count).
 func (s *Session) handleBatch(f inFrame) int64 {
-	b := f.f.Batch
-	if b == nil {
-		s.reject(f, "batch frame without batch columns")
-		return 0
-	}
-	// Binary decode only constructs valid batches; JSON-decoded ones
-	// (NDJSON clients) are untrusted shapes.
-	if err := b.Validate(); err != nil {
-		s.reject(f, err.Error())
-		return 0
-	}
+	b := f.batch
 	var applied int64
 	for i, n := 0, b.Len(); i < n; i++ {
 		proc := int(b.Procs[i]) - 1
@@ -875,7 +845,7 @@ func (s *Session) handleBatch(f inFrame) int64 {
 		s.checkWatches()
 	}
 	if applied > 0 {
-		// Every event of the frame shares its enqueue-to-applied latency.
+		// Every event of the unit shares its enqueue-to-applied latency.
 		lat := time.Since(f.enq)
 		s.latNanos.Add(lat.Nanoseconds() * applied)
 		s.srv.met.ingestDur.ObserveN(lat.Seconds(), applied)
@@ -889,7 +859,7 @@ func (s *Session) handleSnapshot(f inFrame) {
 		return
 	}
 	s.ensureWatches()
-	fl, err := ctl.Parse(f.f.Formula)
+	fl, err := ctl.Parse(f.text)
 	if err != nil {
 		s.reject(f, err.Error())
 		return
@@ -904,7 +874,7 @@ func (s *Session) handleSnapshot(f inFrame) {
 	fr := ServerFrame{
 		Type:      FrameSnapshot,
 		Session:   s.id,
-		ID:        f.f.ID,
+		ID:        f.id,
 		Holds:     &holds,
 		Algorithm: res.Algorithm,
 		Event:     s.seen,

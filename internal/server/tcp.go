@@ -315,6 +315,9 @@ func (s *Server) handleConn(conn net.Conn) {
 
 	reason := s.readFrames(conn, sc, sess, first.Encoding == EncodingBinary)
 	// Reader finished: EOF, read error/timeout, seq gap, or session end.
+	// Counted before the teardown below closes the conn, so a client that
+	// sees the close finds it counted.
+	s.met.connClosed(reason)
 	if sess.Resumable() && reason != CloseBye {
 		// The session survives the connection: detach and wait for a
 		// resume. The idle janitor reclaims it if the client never
@@ -325,7 +328,6 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	att.close()
 	<-writerDone
-	s.met.connClosed(reason)
 }
 
 // ingestFrame reports whether a frame type carries sequenced session
@@ -350,14 +352,13 @@ func ingestFrame(t string) bool {
 // connection-scoped var table (a reconnect gets a fresh table on both
 // sides, so interning needs no handshake).
 //
-// NDJSON ingest pays per read, not per line. When whole lines are
-// already buffered behind an init/event line, the reader decodes them
-// too, while they are init/event lines, and ingestRows enqueues them as
-// one batch: one deadline arm, one decode and one enqueue, where lines
-// that arrive alone pay each. Reading a buffered line needs no socket
-// read, so no deadline is involved. The line that ends a gather — any
-// other frame, or a malformed line — is decoded inside the gather's
-// window and then processed as if it had arrived alone.
+// Every init/event line is a row of a batch unit, and ingest pays per
+// read, not per line: while whole init/event lines with the same id are
+// already buffered behind one, the reader decodes them too (no socket
+// read, so no deadline, is involved), and ingestRows enqueues their rows
+// as one batch. A line that arrives alone is a gather of one. The line
+// that ends a gather — any other frame, a malformed line, or another id —
+// is decoded inside the gather's window and processed on the next turn.
 func (s *Server) readFrames(conn net.Conn, sc *FrameScanner, sess *Session, binEnc bool) string {
 	var (
 		vt   pir.VarTable
@@ -371,50 +372,49 @@ func (s *Server) readFrames(conn net.Conn, sc *FrameScanner, sess *Session, binE
 	for carried || sc.Scan() {
 		var f ClientFrame
 		var err error
+		read := !carried // decoded on this turn, not inside the last gather's window
+		decStart := time.Now()
 		if carried {
 			f, err, carried = next, nextErr, false
 		} else {
 			s.armReadDeadline(conn)
-			decStart := time.Now()
 			if sc.Binary() {
 				f, err = s.decodeBinaryFrame(sc, &vt, binEnc)
 			} else {
 				f, err = DecodeClientFrame(sc.Bytes())
 			}
-			rows = rows[:0]
-			if err == nil && gatherable(&f) {
-				for sc.LineBuffered() && sc.Scan() {
-					if next, nextErr = DecodeClientFrame(sc.Bytes()); nextErr != nil || !gatherable(&next) {
-						carried = true
-						break
-					}
-					if len(rows) == 0 {
-						rows = append(rows, f)
-					}
-					rows = append(rows, next)
+		}
+		rows = rows[:0]
+		if err == nil && rowFrame(&f) {
+			rows = append(rows, f)
+			for sc.LineBuffered() && sc.Scan() {
+				if next, nextErr = DecodeClientFrame(sc.Bytes()); nextErr != nil || !rowFrame(&next) || next.ID != f.ID {
+					carried = true
+					break
 				}
+				rows = append(rows, next)
 			}
-			if err == nil {
-				s.met.stage(StageDecode, time.Since(decStart))
-				if s.cfg.Tracer != nil {
-					typ := f.Type
-					if len(rows) > 0 {
-						typ = FrameBatch
-					}
-					ds := s.cfg.Tracer.StartAt("decode", sess.spanCtx(), decStart)
-					ds.Set("service", "transport").Set("type", typ)
-					ds.End()
+		}
+		if err == nil && read {
+			s.met.stage(StageDecode, time.Since(decStart))
+			if s.cfg.Tracer != nil {
+				typ := f.Type
+				if len(rows) > 1 {
+					typ = FrameBatch
 				}
+				ds := s.cfg.Tracer.StartAt("decode", sess.spanCtx(), decStart)
+				ds.Set("service", "transport").Set("type", typ)
+				ds.End()
 			}
-			if len(rows) > 0 {
-				if reason := s.ingestRows(sess, rows); reason != "" {
-					return reason
-				}
-				if sessionDone(sess) {
-					return CloseSessionDone
-				}
-				continue
+		}
+		if len(rows) > 0 {
+			if reason := s.ingestRows(sess, rows); reason != "" {
+				return reason
 			}
+			if sessionDone(sess) {
+				return CloseSessionDone
+			}
+			continue
 		}
 		if err != nil {
 			if sc.Binary() {
@@ -456,13 +456,12 @@ func (s *Server) readFrames(conn net.Conn, sc *FrameScanner, sess *Session, binE
 			sess.Close("bye")
 			<-sess.Done()
 			return CloseBye
+		case FrameBatch:
+			s.met.batches.Inc()
+			fallthrough
 		case FrameSnapshot:
-			// Response is produced by the monitor loop and emitted to the
-			// subscriber (resp == nil path), preserving stream order.
-			if err := sess.Ingest(f); err != nil {
-				sess.Close("")
-			}
-		case FrameInit, FrameEvent, FrameBatch:
+			// A snapshot's answer is emitted to the subscriber by the
+			// monitor loop, preserving stream order.
 			enqueued(sess, sess.Ingest(f))
 		case FrameHello, FrameResume:
 			// A mid-stream handshake frame desynchronizes the dialog. For
@@ -492,40 +491,48 @@ func (s *Server) readFrames(conn net.Conn, sc *FrameScanner, sess *Session, binE
 	return scanEndReason(sc.Err())
 }
 
-// gatherable reports whether f may join a gather: an init or event line
-// without an id (a rejection echoes a lone frame's id; a batch has none).
-func gatherable(f *ClientFrame) bool {
-	return (f.Type == FrameInit || f.Type == FrameEvent) && f.ID == 0
+// rowFrame reports whether f is an init or event line: one row of a batch.
+func rowFrame(f *ClientFrame) bool {
+	return f.Type == FrameInit || f.Type == FrameEvent
 }
 
-// ingestRows triages the lines of one gather in order, as the lone-line
-// path does, and enqueues the rows of the accepted ones as one batch that
-// carries the last accepted seq. A duplicate is skipped; a bad or gapped
+// ingestRows triages the lines of one gather in order and enqueues the
+// rows of the accepted ones as a batch unit that carries the last
+// accepted seq and the lines' id. A duplicate is skipped; a bad or gapped
 // seq first enqueues what was gathered before it, then ends the
-// connection. A line AppendRow rejects is enqueued alone between the rows
-// before and after it, so the session rejects it as it would a lone line.
-// It returns the close reason when the connection must end, else "".
+// connection. A line AppendRow refuses is queued as its rejection, with
+// its seq and id, between the rows before and after it. It returns the
+// close reason when the connection must end, else "".
 func (s *Server) ingestRows(sess *Session, rows []ClientFrame) string {
-	b := pir.GetBatch()
-	var seq int64
+	u := inFrame{id: rows[0].ID}
+	flush := func() {
+		if u.batch != nil && u.batch.Len() > 0 {
+			u.enq = time.Now()
+			enqueued(sess, sess.enqueue(u))
+			u.batch = nil
+		}
+	}
+	defer func() { u.batch.Recycle() }() // left empty: every line after the last flush was refused
 	for i := range rows {
 		f := &rows[i]
 		switch v := s.triage(sess, f); v {
 		case seqDup:
 			continue
 		case seqGap, seqBad:
-			enqueued(sess, sess.ingestGathered(b, seq))
+			flush()
 			return s.seqFailed(sess, f, v)
 		}
-		if AppendRow(b, f, sess.n) != "" {
-			enqueued(sess, sess.ingestGathered(b, seq))
-			enqueued(sess, sess.Ingest(*f))
-			b = pir.GetBatch()
+		if u.batch == nil {
+			u.batch = pir.GetBatch()
+		}
+		if why := AppendRow(u.batch, f, sess.n); why != "" {
+			flush()
+			enqueued(sess, sess.enqueue(inFrame{kind: unitReject, text: why, seq: f.Seq, id: f.ID, enq: time.Now()}))
 			continue
 		}
-		seq = f.Seq
+		u.seq = f.Seq
 	}
-	enqueued(sess, sess.ingestGathered(b, seq))
+	flush()
 	return ""
 }
 
