@@ -80,34 +80,39 @@ func BenchmarkTable1(b *testing.B) {
 
 // --- Fig. 1: Algorithms A1 and A2 ---------------------------------------
 
+// The Fig. 1 and Fig. 5 benchmarks use predicates that hold along the whole
+// computation, so the algorithms walk it end to end instead of exiting at
+// the first failing cut, and the work grows with |E|. benchConj holds at
+// every cut: sim's values lie in [0, ValRange) = [0, 4).
+
 func BenchmarkA1EGLinear(b *testing.B) {
-	for _, events := range []int{500, 2000, 8000} {
-		comp := sim.Random(sim.DefaultRandomConfig(4, events), 11)
-		p := benchLinear()
-		b.Run(fmt.Sprintf("E%d", events), func(b *testing.B) {
+	run := func(name string, comp *computation.Computation) {
+		p := benchConj()
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.EGLinear(comp, p)
+				if _, ok := core.EGLinear(comp, p); !ok {
+					b.Fatal("the predicate holds at every cut, yet A1 reported false")
+				}
 			}
 		})
 	}
+	for _, events := range []int{500, 2000, 8000} {
+		run(fmt.Sprintf("E%d", events), sim.Random(sim.DefaultRandomConfig(4, events), 11))
+	}
 	for _, n := range []int{2, 8, 32} {
-		comp := sim.Random(sim.DefaultRandomConfig(n, 4000), 11)
-		p := benchLinear()
-		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.EGLinear(comp, p)
-			}
-		})
+		run(fmt.Sprintf("N%d", n), sim.Random(sim.DefaultRandomConfig(n, 4000), 11))
 	}
 }
 
 func BenchmarkA2AGLinear(b *testing.B) {
 	for _, events := range []int{500, 2000, 8000} {
 		comp := sim.Random(sim.DefaultRandomConfig(4, events), 11)
-		p := benchLinear()
+		p := benchConj()
 		b.Run(fmt.Sprintf("E%d", events), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.AGLinear(comp, p)
+				if _, ok := core.AGLinear(comp, p); !ok {
+					b.Fatal("the predicate holds at every cut, yet A2 reported false")
+				}
 			}
 		})
 	}
@@ -188,14 +193,21 @@ func BenchmarkA3EU(b *testing.B) {
 	})
 	for _, events := range []int{500, 2000, 8000} {
 		comp := sim.Random(sim.DefaultRandomConfig(4, events), 13)
+		// p holds at every cut, and I_q, the least cut where every process
+		// has executed half its events, lies mid-computation: A3 advances
+		// to it and runs A1 below it.
 		p := predicate.Conj(predicate.VarCmp{Proc: 0, Var: "x0", Op: predicate.LE, K: 3})
-		q := predicate.AndLinear{Ps: []predicate.Linear{
-			predicate.Conj(predicate.VarCmp{Proc: 1, Var: "x0", Op: predicate.GE, K: 1}),
-			predicate.ChannelsEmpty{},
-		}}
+		var half []predicate.LocalPredicate
+		for i := 0; i < comp.N(); i++ {
+			k0 := comp.Len(i) / 2
+			half = append(half, predicate.LocalFn{Proc: i, Name: fmt.Sprintf("k>=%d", k0), Fn: func(_ *computation.Computation, k int) bool { return k >= k0 }})
+		}
+		q := predicate.Conj(half...)
 		b.Run(fmt.Sprintf("E%d", events), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.EUConjLinear(comp, p, q)
+				if _, ok := core.EUConjLinear(comp, p, q); !ok {
+					b.Fatal("p holds at every cut, yet A3 reported false")
+				}
 			}
 		})
 	}
@@ -204,11 +216,15 @@ func BenchmarkA3EU(b *testing.B) {
 func BenchmarkAUDisjunctive(b *testing.B) {
 	for _, events := range []int{500, 2000, 8000} {
 		comp := sim.Random(sim.DefaultRandomConfig(4, events), 13)
+		// q holds at no cut, so ¬q holds at every cut: the EG(¬q) leg of
+		// the composition walks the whole computation and AU is false.
 		p := predicate.Disj(predicate.VarCmp{Proc: 0, Var: "x0", Op: predicate.GT, K: 3})
-		q := predicate.Disj(predicate.VarCmp{Proc: 1, Var: "x0", Op: predicate.GE, K: 1})
+		q := predicate.Disj(predicate.VarCmp{Proc: 1, Var: "x0", Op: predicate.GT, K: 3})
 		b.Run(fmt.Sprintf("E%d", events), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.AUDisjunctive(comp, p, q)
+				if core.AUDisjunctive(comp, p, q) {
+					b.Fatal("¬q holds at every cut, yet AU reported true")
+				}
 			}
 		})
 	}

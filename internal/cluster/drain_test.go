@@ -2,11 +2,17 @@ package cluster_test
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
+	"repro/internal/server"
 	"repro/internal/server/client"
 )
 
@@ -141,4 +147,142 @@ func TestClusterDrainNoLiveReplica(t *testing.T) {
 	if err := verifyVerdicts(t, steps, sess.Latched()); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDrainHandoffNewOwnerOpensFirst: the adopting replica replicates the
+// session it adopted back to the draining node over its own link, and
+// that repl-open can reach the draining node before the handoff-ack
+// does. It names the handoff's target and epoch, so it is the adoption
+// itself: the drain must succeed and count one handoff. The replica is a
+// fake that sends the open and reads its answer before it acks the
+// handoff, the order that failed TestClusterDrainHandoff now and then.
+func TestDrainHandoffNewOwnerOpensFirst(t *testing.T) {
+	ownerLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicaLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replicaLn.Close()
+	owner, replica := ownerLn.Addr().String(), replicaLn.Addr().String()
+	reg := obs.NewRegistry()
+	node, err := cluster.New(
+		server.Config{AckEvery: 2, Registry: obs.NewRegistry()},
+		cluster.NodeConfig{Self: owner, Peers: []string{owner, replica}, Replicas: 2, Registry: reg},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go node.Serve(ownerLn) //nolint:errcheck // closed by Shutdown
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		node.Shutdown(ctx) //nolint:errcheck // the test has its verdict
+	}()
+	key := ""
+	for i := 0; key == ""; i++ {
+		if k := fmt.Sprintf("drain-open-first-%d", i); node.Ring().Successors(k, 2)[0] == owner {
+			key = k
+		}
+	}
+
+	acked := make(chan struct{}, 1)
+	adopted := make(chan error, 1)
+	go func() { adopted <- fakeAdopter(replicaLn, owner, replica, key, acked) }()
+
+	r, _ := dialRawSession(t, owner, server.ClientFrame{Type: server.FrameHello, Processes: 2, Session: key, Resumable: true})
+	r.send(server.ClientFrame{Type: server.FrameInit, Proc: 1, Var: "x", Value: 1, Seq: 1}, false)
+	select {
+	case <-acked:
+	case err := <-adopted:
+		t.Fatalf("fake replica quit before the first frame: %v", err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first frame never reached the replica")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := node.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if err := <-adopted; err != nil {
+		t.Fatalf("fake replica: %v", err)
+	}
+	if v := reg.Counter("hb_cluster_handoffs_total", "").Value(); v != 1 {
+		t.Errorf("handoffs_total = %d, want 1", v)
+	}
+}
+
+// fakeAdopter plays the replica of one session: it acks the owner's open
+// and every data frame (signalling acked after the first), and answers
+// the handoff offer by first opening the adopted incarnation on its own
+// link to the owner, waiting for the reply, and only then sending the
+// handoff-ack.
+func fakeAdopter(ln net.Listener, owner, self, key string, acked chan<- struct{}) error {
+	conn, err := ln.Accept()
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	sc := server.NewFrameScanner(conn)
+	if !sc.Scan() { // the repl-hello
+		return fmt.Errorf("link closed before its hello: %v", sc.Err())
+	}
+	if _, err := conn.Write([]byte(`{"type":"repl-welcome"}` + "\n")); err != nil {
+		return err
+	}
+	ack := func(seq, epoch int64) error {
+		_, err := fmt.Fprintf(conn, `{"type":"repl-ack","session":%q,"seq":%d,"epoch":%d}`+"\n", key, seq, epoch)
+		return err
+	}
+	var (
+		hello json.RawMessage
+		epoch int64
+		seq   int64
+	)
+	for sc.Scan() {
+		if sc.Binary() {
+			seq++
+			if err := ack(seq, epoch); err != nil {
+				return err
+			}
+			if seq == 1 {
+				acked <- struct{}{}
+			}
+			continue
+		}
+		var m wireMsg
+		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
+			return err
+		}
+		switch m.Type {
+		case "repl-open":
+			hello, epoch = m.Hello, m.Epoch
+			if err := ack(seq, epoch); err != nil {
+				return err
+			}
+		case "repl-handoff":
+			back, err := net.DialTimeout("tcp", owner, 2*time.Second)
+			if err != nil {
+				return err
+			}
+			defer back.Close()
+			back.SetDeadline(time.Now().Add(10 * time.Second))
+			bsc := server.NewFrameScanner(back)
+			fmt.Fprintf(back, `{"type":"repl-hello","from":%q}`+"\n", self)
+			if !bsc.Scan() {
+				return fmt.Errorf("owner closed the back link before its welcome: %v", bsc.Err())
+			}
+			fmt.Fprintf(back, `{"type":"repl-open","session":%q,"epoch":%d,"hello":%s}`+"\n", key, m.Epoch, hello)
+			if !bsc.Scan() {
+				return fmt.Errorf("owner closed the back link before answering the open: %v", bsc.Err())
+			}
+			_, err = fmt.Fprintf(conn, `{"type":"repl-handoff-ack","session":%q,"epoch":%d}`+"\n", key, m.Epoch)
+			return err
+		}
+	}
+	return errors.Join(errors.New("link closed before the handoff offer"), sc.Err())
 }

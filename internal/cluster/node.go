@@ -583,12 +583,23 @@ func (n *Node) noteAcks(key string) {
 // dropped, any live local session is kicked and tombstoned so its client
 // follows the redirect, and an in-flight handoff fails — a zombie
 // ex-owner must never keep acking frames the cluster has moved past.
+//
+// The one exception is the incarnation an in-flight handoff created: the
+// adopting replica replicates the session back to this node over its own
+// link, so its repl-open (or a stale-epoch reject) can arrive before the
+// handoff-ack. Evidence from the handoff's target at the handoff's epoch
+// is that adoption, and completes the handoff.
 func (n *Node) superseded(key string, epoch int64, from, reason string) {
 	n.mu.Lock()
 	n.observeEpochLocked(key, epoch)
 	hs := n.hosted[key]
 	if hs == nil || hs.epoch >= epoch {
 		n.mu.Unlock()
+		return
+	}
+	if ho := hs.handoff; ho != nil && ho.target == from && ho.epoch == epoch {
+		n.mu.Unlock()
+		n.completeHandoff(key, from, epoch)
 		return
 	}
 	n.dropHostedLocked(hs)

@@ -24,13 +24,14 @@ package core
 import (
 	"repro/internal/computation"
 	"repro/internal/predicate"
+	"repro/internal/slice"
 )
 
 // LeastCut computes I_p, the least consistent cut satisfying the linear
-// predicate p, by the Chase–Garg advancement: starting from ∅, while p
-// fails, some forbidden process must advance, so the cut grows to include
-// that process's next event and its causal closure. Runs in O(n|E|) cut
-// updates plus one predicate evaluation per step.
+// predicate p, by the Chase–Garg advancement from ∅ (slice.Advance): while
+// p fails, some forbidden process must advance, so the cut grows to
+// include that process's next event and its causal closure. Runs in
+// O(n|E|) cut updates plus one predicate evaluation per step.
 //
 // ok is false when no consistent cut satisfies p.
 func LeastCut(comp *computation.Computation, p predicate.Linear) (computation.Cut, bool) {
@@ -39,33 +40,25 @@ func LeastCut(comp *computation.Computation, p predicate.Linear) (computation.Cu
 
 func leastCut(comp *computation.Computation, p predicate.Linear, st *Stats) (computation.Cut, bool) {
 	cut := comp.InitialCut()
-	// Each iteration adds at least one event, so at most |E|+1 iterations.
-	st.cuts(1)
-	st.evals(1)
-	for !p.Eval(comp, cut) {
-		st.forbidden(1)
-		i, ok := p.Forbidden(comp, cut)
-		if !ok {
-			return nil, false // predicate unsatisfiable above cut
-		}
-		if cut[i] >= comp.Len(i) {
-			return nil, false // forbidden process has no more events
-		}
-		// Advance in place to the least consistent cut containing
-		// cut ∪ {next}: the join with ↓next, next's clock.
-		for j, c := range comp.Event(i, cut[i]+1).Clock {
-			cut[j] = max(cut[j], c)
-		}
-		st.advance(1)
-		st.cuts(1)
-		st.evals(1)
+	steps, ok := slice.Advance(comp, p, cut)
+	// One evaluation per cut, one Forbidden call per step, and one more
+	// Forbidden call when the run fails.
+	n := int64(steps)
+	st.cuts(n + 1)
+	st.evals(n + 1)
+	st.advance(n)
+	if !ok {
+		st.forbidden(n + 1)
+		return nil, false
 	}
+	st.forbidden(n)
 	return cut, true
 }
 
 // GreatestCut is the dual of LeastCut for post-linear predicates: it
 // retreats from the final cut E, removing the last event of a retreat
-// process and everything that causally depends on it, until p holds.
+// process and everything that causally depends on it, until p holds. A
+// retreat is a meet with E − ↑last, not a join, so it has its own loop.
 //
 // ok is false when no consistent cut satisfies p.
 func GreatestCut(comp *computation.Computation, p predicate.PostLinear) (computation.Cut, bool) {

@@ -380,8 +380,12 @@ type tombstone struct {
 // supersede replaces any live, morgue, or tombstone state for id with a
 // tombstone redirecting to owner. A live session is kicked and closed
 // without retiring into the morgue: its terminal record describes a
-// fenced incarnation and must not shadow the authoritative one.
+// fenced incarnation and must not shadow the authoritative one. The
+// shard's expired tombstones are pruned here, as retire prunes the
+// morgue, so a node fenced over many keys does not keep one per key.
 func (s *Server) Supersede(id, owner, reason string) {
+	ttl := s.morgueTTL()
+	now := time.Now()
 	sh := s.shard(id)
 	sh.mu.Lock()
 	sess := sh.sessions[id]
@@ -389,7 +393,12 @@ func (s *Server) Supersede(id, owner, reason string) {
 		delete(sh.morgue, id)
 		s.morgued.Add(-1)
 	}
-	sh.tombstones[id] = tombstone{owner: owner, retired: time.Now()}
+	for k, t := range sh.tombstones {
+		if now.Sub(t.retired) > ttl {
+			delete(sh.tombstones, k)
+		}
+	}
+	sh.tombstones[id] = tombstone{owner: owner, retired: now}
 	sh.mu.Unlock()
 	if sess != nil {
 		sess.superseded.Store(true)

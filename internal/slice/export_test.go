@@ -14,15 +14,18 @@ var NewNaive = naiveSlice
 // slice (TestIncrementalMatchesNaive).
 func naiveSlice(comp *computation.Computation, p predicate.Linear) *Slice {
 	s := &Slice{comp: comp, p: p, j: make([][]computation.Cut, comp.N())}
-	s.ip, s.satisfiable = leastFrom(comp, p, comp.InitialCut())
+	ip := comp.InitialCut()
+	if _, s.satisfiable = Advance(comp, p, ip); s.satisfiable {
+		s.ip = ip
+	}
 	for i := 0; i < comp.N(); i++ {
 		s.j[i] = make([]computation.Cut, comp.Len(i))
 		if !s.satisfiable {
 			continue
 		}
 		for k := 1; k <= comp.Len(i); k++ {
-			start := comp.DownSet(comp.Event(i, k))
-			if cut, ok := leastFrom(comp, p, start); ok {
+			cut := comp.DownSet(comp.Event(i, k))
+			if _, ok := Advance(comp, p, cut); ok {
 				s.j[i][k-1] = cut
 			}
 		}

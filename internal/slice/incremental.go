@@ -6,37 +6,36 @@ import (
 )
 
 // NewIncremental computes the slice of comp with respect to the linear
-// predicate p: I_p plus the J_p(e) of every event. It amortizes the
-// advancement across each process's events: for any linear predicate,
-// J_p(e(i,1)) ⊆ J_p(e(i,2)) ⊆ … (a satisfying cut containing a later
-// event contains the earlier ones too), so the per-process advancement
-// cursor only moves forward. Total advancement steps per process are
-// bounded by |E| instead of |E| per event — O(n|E|) cut updates per
-// process versus the O(n|E|²) worst case of one advancement per event
-// from ↓e (the naive builder the tests keep as the reference). This is
-// the Garg–Mittal complexity the paper quotes for slice generation.
+// predicate p: I_p plus the J_p(e) of every event. For a linear predicate
+// I_p ⊆ J_p(e(i,1)) ⊆ J_p(e(i,2)) ⊆ … (a satisfying cut containing a later
+// event contains the earlier ones too), so one cursor per process starts
+// at I_p, joins each event's clock, and Advance moves it on in place: at
+// most |E| steps per process instead of |E| per event — O(n|E|) cut
+// updates per process versus the O(n|E|²) worst case of the naive builder
+// the tests keep as the reference, the Garg–Mittal complexity the paper
+// quotes for slice generation. It allocates one copy per kept J, however
+// many steps the predicate forces.
 func NewIncremental(comp *computation.Computation, p predicate.Linear) *Slice {
 	s := &Slice{comp: comp, p: p, j: make([][]computation.Cut, comp.N())}
-	s.ip, s.satisfiable = leastFrom(comp, p, comp.InitialCut())
-	for i := 0; i < comp.N(); i++ {
+	ip := comp.InitialCut()
+	if _, s.satisfiable = Advance(comp, p, ip); s.satisfiable {
+		s.ip = ip
+	}
+	cur := make(computation.Cut, comp.N())
+	for i := range s.j {
 		s.j[i] = make([]computation.Cut, comp.Len(i))
 		if !s.satisfiable {
 			continue
 		}
-		cur := comp.InitialCut()
-		alive := true
-		for k := 1; k <= comp.Len(i); k++ {
-			if !alive {
-				break // no satisfying cut contains e(i,k-1), so none contains e(i,k)
+		copy(cur, ip)
+		for k, e := range comp.Events(i) {
+			for q, c := range e.Clock {
+				cur[q] = max(cur[q], c)
 			}
-			cur = computation.Join(cur, comp.DownSet(comp.Event(i, k)))
-			next, ok := leastFrom(comp, p, cur)
-			if !ok {
-				alive = false
-				continue
+			if _, ok := Advance(comp, p, cur); !ok {
+				break // no satisfying cut contains e(i,k+1), so none contains a later event
 			}
-			cur = next
-			s.j[i][k-1] = cur.Copy()
+			s.j[i][k] = cur.Copy()
 		}
 	}
 	return s

@@ -31,21 +31,23 @@ type Slice struct {
 	satisfiable bool
 }
 
-// leastFrom runs the Chase–Garg advancement from an arbitrary consistent
-// starting cut, returning the least satisfying cut above it.
-func leastFrom(comp *computation.Computation, p predicate.Linear, start computation.Cut) (computation.Cut, bool) {
-	cut := start.Copy()
+// Advance moves the consistent cut in place to the least cut above it
+// satisfying the linear predicate p (the Chase–Garg advancement): while p
+// fails, the next event of its forbidden process joins the cut with its
+// clock. It returns the number of joins; when ok is false no satisfying
+// cut lies above the start, and cut is left part-way.
+func Advance(comp *computation.Computation, p predicate.Linear, cut computation.Cut) (steps int, ok bool) {
 	for !p.Eval(comp, cut) {
 		i, ok := p.Forbidden(comp, cut)
-		if !ok {
-			return nil, false
+		if !ok || cut[i] >= comp.Len(i) {
+			return steps, false
 		}
-		if cut[i] >= comp.Len(i) {
-			return nil, false
+		for j, c := range comp.Event(i, cut[i]+1).Clock {
+			cut[j] = max(cut[j], c)
 		}
-		cut = computation.Join(cut, comp.DownSet(comp.Event(i, cut[i]+1)))
+		steps++
 	}
-	return cut, true
+	return steps, true
 }
 
 // Satisfiable reports whether any consistent cut satisfies the predicate.
