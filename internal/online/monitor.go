@@ -48,11 +48,10 @@ type Monitor struct {
 	// unassigned variable reading 0. The table is the monitor's own: wire
 	// indices restart with every connection and log entry, the monitor
 	// outlives them.
-	slots    map[string]int
-	names    []string // slot → name
-	vals     [][]int
-	initVals []map[string]int // read by Snapshot only
-	row      []pir.VarSet     // scratch of the map-taking Internal/Send/Receive
+	slots map[string]int
+	names []string // slot → name
+	vals  [][]int
+	row   []pir.VarSet // scratch of the map-taking Internal/Send/Receive
 	// start is the clock of the event being stepped — the one that began
 	// its process's current local state — copied on the first startClock
 	// request within the step and shared read-only by every watch that
@@ -63,9 +62,10 @@ type Monitor struct {
 	sends    map[int]sendInfo // every message ever sent; see sendInfo
 	inFlight int
 
-	// rec is the replay record Snapshot materializes: one row per event,
-	// append-only, in observation order, with wire (1-based) process ids
-	// and the monitor's own message ids. Never populated in bounded mode.
+	// rec is the replay record Snapshot materializes: one row per event
+	// and per SetInitial (an EvInit row), append-only, in observation
+	// order, with wire (1-based) process ids and the monitor's own message
+	// ids. Never populated in bounded mode.
 	// The columns bound one monitor to 2³¹-1 sends (Msgs is int32) and
 	// 2³²-1 assignments in total (SetOff is uint32); the record outgrows
 	// memory long before either.
@@ -106,19 +106,17 @@ func NewMonitor(n int) *Monitor {
 		panic("online: need at least one process")
 	}
 	m := &Monitor{
-		n:        n,
-		clocks:   make([]vclock.VC, n),
-		lens:     make([]int, n),
-		slots:    make(map[string]int),
-		vals:     make([][]int, n),
-		initVals: make([]map[string]int, n),
-		sends:    make(map[int]sendInfo),
-		efOn:     make([][]efPending, n),
-		agOn:     make([][]agPending, n),
+		n:      n,
+		clocks: make([]vclock.VC, n),
+		lens:   make([]int, n),
+		slots:  make(map[string]int),
+		vals:   make([][]int, n),
+		sends:  make(map[int]sendInfo),
+		efOn:   make([][]efPending, n),
+		agOn:   make([][]agPending, n),
 	}
 	for i := 0; i < n; i++ {
 		m.clocks[i] = vclock.New(n)
-		m.initVals[i] = make(map[string]int)
 	}
 	return m
 }
@@ -229,7 +227,9 @@ func (m *Monitor) SetInitial(proc int, name string, value int) {
 	}
 	s := m.slot(name) // may grow the rows: index after, not before
 	m.vals[proc][s] = value
-	m.initVals[proc][name] = value
+	if !m.bounded {
+		m.rec.AddInit(proc+1, name, value)
+	}
 }
 
 // rowOf adapts the map-taking Internal, Send and Receive to the row the
@@ -277,22 +277,31 @@ func (m *Monitor) SendRow(proc int, sets []pir.VarSet) int {
 	return id
 }
 
-// ReceiveRow observes the receipt of message id on proc. It returns an
-// error if the message is unknown, already received, or a self-receive —
-// observation-order violations, which leave the monitor state untouched
-// so ingest can report the bad frame and continue. It panics when proc is
-// out of range.
+// ReceiveError is ReceiveRow's report of an observation-order violation.
+// Msg is the message id the receive named; a caller that numbers
+// messages its own way may set it to its own id before reporting.
+type ReceiveError struct {
+	Msg    int
+	Format string // the text, with a %d verb for Msg
+}
+
+func (e *ReceiveError) Error() string { return "online: " + fmt.Sprintf(e.Format, e.Msg) }
+
+// ReceiveRow observes the receipt of message id on proc. It returns a
+// *ReceiveError if the message is unknown, already received, or a
+// self-receive — observation-order violations, which leave the monitor
+// state untouched so ingest can report the bad frame and continue. It
+// panics when proc is out of range.
 func (m *Monitor) ReceiveRow(proc int, id int, sets []pir.VarSet) error {
 	m.checkProc(proc)
 	s, ok := m.sends[id]
-	if !ok {
-		return fmt.Errorf("online: receive of unknown message %d", id)
-	}
-	if s.clock == nil {
-		return fmt.Errorf("online: message %d received twice", id)
-	}
-	if s.proc == proc {
-		return fmt.Errorf("online: message %d received by its sender", id)
+	switch {
+	case !ok:
+		return &ReceiveError{id, "receive of unknown message %d"}
+	case s.clock == nil:
+		return &ReceiveError{id, "message %d received twice"}
+	case s.proc == proc:
+		return &ReceiveError{id, "message %d received by its sender"}
 	}
 	m.clocks[proc].MergeInto(s.clock)
 	m.sends[id] = sendInfo{proc: s.proc}
@@ -357,17 +366,16 @@ func (m *Monitor) Snapshot() *computation.Computation {
 		panic("online: Snapshot unavailable on a bounded monitor (prefix not retained)")
 	}
 	b := computation.NewBuilder(m.n)
-	for i := 0; i < m.n; i++ {
-		for name, v := range m.initVals[i] {
-			b.SetInitial(i, name, v)
-		}
-	}
 	handles := make(map[int]computation.Msg)
 	r := &m.rec
 	for i, n := 0, r.Len(); i < n; i++ {
 		proc := int(r.Procs[i]) - 1
 		var e *computation.Event
 		switch r.Kinds[i] {
+		case pir.EvInit:
+			vs := r.Sets[r.SetOff[i]]
+			b.SetInitial(proc, vs.Name, vs.Val)
+			continue
 		case pir.EvInternal:
 			e = b.Internal(proc)
 		case pir.EvSend:

@@ -278,6 +278,25 @@ func TestSnapshotMatchesDirectBuild(t *testing.T) {
 	m := NewMonitor(comp.N())
 	replay(t, comp, m, nil)
 	sameComputation(t, comp, m.Snapshot())
+
+	// Initial values are part of the record: a name set twice keeps the
+	// last value, and a process's inits may follow another's events.
+	m = NewMonitor(2)
+	b := computation.NewBuilder(2)
+	m.SetInitial(1, "x", 3)
+	m.SetInitial(1, "x", 5)
+	b.SetInitial(1, "x", 5)
+	m.Internal(0, map[string]int{"x": 1})
+	computation.Set(b.Internal(0), "x", 1)
+	id := m.Send(0, nil)
+	_, h := b.Send(0)
+	m.SetInitial(1, "y", -2)
+	b.SetInitial(1, "y", -2)
+	if err := m.Receive(1, id, map[string]int{"y": 4}); err != nil {
+		t.Fatal(err)
+	}
+	computation.Set(b.Receive(1, h), "y", 4)
+	sameComputation(t, b.MustBuild(), m.Snapshot())
 }
 
 // sameComputation requires got to be want event for event: dimensions,

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/pir"
 	"repro/internal/server"
+	"repro/internal/server/client"
 )
 
 // parityStep is one frame of the parity script. raw marks a frame no
@@ -209,4 +210,61 @@ func TestEncodingParity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestReceiveRejectionNamesWireID: the monitor numbers messages its own
+// way, but a receive it rejects must name the client's message id — on
+// both encodings, and after a cluster-style replay of the frame log.
+// Message 7 is the session's first send and 9 its second, so the
+// monitor's own ids (1 and 2) differ from both.
+func TestReceiveRejectionNamesWireID(t *testing.T) {
+	srv, addr := startServer(t, server.Config{})
+	want := []string{"message 7 received twice", "message 9 received by its sender"}
+	check := func(t *testing.T, frames []server.ServerFrame) {
+		t.Helper()
+		var got []string
+		for _, fr := range frames {
+			if fr.Type == server.FrameError {
+				got = append(got, fr.Error)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("rejections %q, want %q", got, want)
+		}
+		for i := range want {
+			if !strings.Contains(got[i], want[i]) {
+				t.Errorf("rejection %d = %q, want it to name %q", i+1, got[i], want[i])
+			}
+		}
+	}
+	for _, enc := range []string{server.EncodingNDJSON, server.EncodingBinary} {
+		t.Run(enc, func(t *testing.T) {
+			sess, err := client.Dial(addr, client.Config{Processes: 2, Encoding: enc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess.SendMsg(0, 7, nil)
+			sess.Receive(1, 7, nil)
+			sess.Receive(1, 7, nil)
+			sess.SendMsg(0, 9, nil)
+			sess.Receive(0, 9, nil)
+			if _, err := sess.Close(); err != nil {
+				t.Fatal(err)
+			}
+			check(t, sess.Latched())
+		})
+	}
+	t.Run("replay", func(t *testing.T) {
+		ev := func(seq int64, proc int, kind string, msg int) server.ClientFrame {
+			return server.ClientFrame{Type: server.FrameEvent, Seq: seq, Proc: proc, Kind: kind, Msg: msg}
+		}
+		sess, err := srv.OpenRecovered(
+			server.ClientFrame{Type: server.FrameHello, Session: "wire-ids", Resumable: true, Processes: 2},
+			[]server.ClientFrame{ev(1, 1, "send", 7), ev(2, 2, "receive", 7), ev(3, 2, "receive", 7), ev(4, 1, "send", 9), ev(5, 1, "receive", 9)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close("bye")
+		check(t, sess.Frames())
+	})
 }

@@ -183,7 +183,7 @@ type Session struct {
 	dropped    atomic.Int64
 	lastActive atomic.Int64 // unix nanos of the last ingested frame
 	latNanos   atomic.Int64 // summed ingest latency, for per-session stats
-	superseded atomic.Bool  // fenced by a newer incarnation: skip the morgue on finish
+	superseded bool         // under srv.mu: fenced by a newer incarnation, so no replay is retired
 	closeOnce  sync.Once
 }
 
@@ -572,22 +572,18 @@ func (s *Session) finish() {
 	}
 	s.goodbye = &gb
 	att := s.att
-	var record []ServerFrame
+	var rk *retiredKey
 	if s.resumable {
-		record = append([]ServerFrame(nil), s.frames...)
+		// The key keeps the terminal replay: a client whose connection
+		// died between bye and goodbye resumes against it and still
+		// collects every recorded frame exactly once.
+		rk = &retiredKey{id: s.id, welcome: s.Welcome(), replay: append(append([]ServerFrame(nil), s.frames...), gb)}
+		rk.welcome.Seq, rk.welcome.Resumed = s.enqSeq.Load(), true
 	}
 	s.mu.Unlock()
-	if s.resumable && !s.superseded.Load() {
-		// Linger in the morgue: a client whose connection died between
-		// bye and goodbye resumes against this terminal state and still
-		// collects every recorded frame exactly once. A superseded session
-		// skips the morgue — its record describes a fenced incarnation and
-		// must not shadow the tombstone redirect to the new owner.
-		s.srv.retire(s.id, s.Welcome(), record, gb, s.enqSeq.Load())
-	}
 	// Removed before the goodbye is pushed: a client that has read its
 	// goodbye finds the session gone from the table and the gauges.
-	s.srv.remove(s.id)
+	s.srv.remove(s, rk)
 	if att != nil {
 		select {
 		case att.ch <- gb:
@@ -831,6 +827,10 @@ func (s *Session) handleBatch(f inFrame) int64 {
 				continue
 			}
 			if err := s.mon.ReceiveRow(proc, id, sets); err != nil {
+				var re *online.ReceiveError
+				if errors.As(err, &re) {
+					re.Msg = b.Msg(i) // the client's id, not the monitor's
+				}
 				s.reject(f, err.Error())
 				continue
 			}
