@@ -32,23 +32,21 @@ func watchApplySession(tb testing.TB, n, efs, rounds int) {
 	}
 	ag := m.WatchAG(inv...)
 	row := []pir.VarSet{{Name: "step"}}
-	prev := 0 // the message sent in the previous round, received in this one
+	// Round r's message has id r+1 and is received in round r+1.
 	for r := 0; r < rounds; r++ {
 		row[0].Val = r + 1
-		sent := 0
 		for p := 0; p < n; p++ {
+			kind, msg := pir.EvInternal, 0
 			switch {
 			case p == r%n:
-				sent = m.SendRow(p, row)
-			case p == (r+n-2)%n && prev != 0:
-				if err := m.ReceiveRow(p, prev, row); err != nil {
-					tb.Fatal(err)
-				}
-			default:
-				m.InternalRow(p, row)
+				kind, msg = pir.EvSend, r+1
+			case p == (r+n-2)%n && r > 0:
+				kind, msg = pir.EvReceive, r
+			}
+			if err := m.Apply(p, kind, msg, row); err != nil {
+				tb.Fatal(err)
 			}
 		}
-		prev = sent
 	}
 	if m.Latched() != efs || ag.Violated() || m.Retained() != 0 {
 		tb.Fatalf("latched %d of %d EF watches, AG violated %v, retained %d", m.Latched(), efs, ag.Violated(), m.Retained())

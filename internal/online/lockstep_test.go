@@ -232,7 +232,7 @@ func TestIndexKeyedMonitorMatchesReference(t *testing.T) {
 				}
 				check(0)
 				atZero := m.Latched()
-				var inFlight []int // monitor message ids, sent and not yet received
+				var inFlight []int // message ids, sent and not yet received
 				const events = 80
 				for e := 1; e <= events; e++ {
 					proc := rng.Intn(n)
@@ -256,20 +256,25 @@ func TestIndexKeyedMonitorMatchesReference(t *testing.T) {
 					}
 					switch {
 					case kind == 1:
-						id := m.SendRow(proc, row)
+						id := e
+						if err := m.Apply(proc, pir.EvSend, id, row); err != nil {
+							t.Fatal(err)
+						}
 						ref.step(proc, row)
 						ref.sends[id] = ref.clocks[proc].Copy()
 						inFlight = append(inFlight, id)
 					case recv >= 0:
 						id := inFlight[recv]
 						inFlight = append(inFlight[:recv], inFlight[recv+1:]...)
-						if err := m.ReceiveRow(proc, id, row); err != nil {
+						if err := m.Apply(proc, pir.EvReceive, id, row); err != nil {
 							t.Fatal(err)
 						}
 						ref.clocks[proc].MergeInto(ref.sends[id])
 						ref.step(proc, row)
 					default:
-						m.InternalRow(proc, row)
+						if err := m.Apply(proc, pir.EvInternal, 0, row); err != nil {
+							t.Fatal(err)
+						}
 						ref.step(proc, row)
 					}
 					check(e)
@@ -318,7 +323,7 @@ func TestPendingWatchesAllocateNothing(t *testing.T) {
 	proc := 0
 	step := func() {
 		row[0].Val++
-		m.InternalRow(proc, row)
+		m.Apply(proc, pir.EvInternal, 0, row) //nolint:errcheck // proc is in range
 		proc = (proc + 1) % n
 	}
 	step() // interns "x"

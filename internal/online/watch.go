@@ -226,6 +226,24 @@ func (m *Monitor) WatchStable(name string, holds func(m *Monitor) bool) *StableW
 	return w
 }
 
+// WatchQuiescent registers the frontier predicate "no message in flight
+// and every conjunct holds" (hbserver's STABLE watch), its conjuncts bound
+// to valuation slots as EF and AG watches bind theirs.
+func (m *Monitor) WatchQuiescent(name string, locals ...predicate.VarCmp) *StableWatch {
+	conj, procs := m.bind(locals)
+	return m.WatchStable(name, func(m *Monitor) bool {
+		if m.inFlight != 0 {
+			return false
+		}
+		for _, p := range procs {
+			if firstFalse(conj[p], m.vals[p]) >= 0 {
+				return false
+			}
+		}
+		return true
+	})
+}
+
 // Fired reports detection; FiredAt returns the prefix length at detection.
 func (w *StableWatch) Fired() bool { return w.fired }
 

@@ -27,8 +27,7 @@ func TestCheckWatchesAllocatesNothingUnlatched(t *testing.T) {
 	row := []pir.VarSet{{Name: "step"}}
 	if allocs := testing.AllocsPerRun(200, func() {
 		row[0].Val++
-		s.mon.InternalRow(row[0].Val%2, row)
-		s.seen++
+		s.mon.Apply(row[0].Val%2, pir.EvInternal, 0, row) //nolint:errcheck // proc is in range
 		s.checkWatches()
 	}); allocs != 0 {
 		t.Fatalf("%v allocations per applied event with nothing latched, want 0", allocs)

@@ -212,11 +212,11 @@ func TestEncodingParity(t *testing.T) {
 	}
 }
 
-// TestReceiveRejectionNamesWireID: the monitor numbers messages its own
-// way, but a receive it rejects must name the client's message id — on
-// both encodings, and after a cluster-style replay of the frame log.
-// Message 7 is the session's first send and 9 its second, so the
-// monitor's own ids (1 and 2) differ from both.
+// TestReceiveRejectionNamesWireID: a receive the monitor rejects names
+// the client's message id — on both encodings, and after a cluster-style
+// replay of the frame log. Message 7 is the session's first send and 9
+// its second, so ids the monitor picked in send order (1 and 2) would
+// differ from both.
 func TestReceiveRejectionNamesWireID(t *testing.T) {
 	srv, addr := startServer(t, server.Config{})
 	want := []string{"message 7 received twice", "message 9 received by its sender"}
@@ -267,4 +267,32 @@ func TestReceiveRejectionNamesWireID(t *testing.T) {
 		defer sess.Close("bye")
 		check(t, sess.Frames())
 	})
+}
+
+// TestStableCountsTheMessageItsSendPuts: a STABLE watch needs no message
+// in flight, and a message is in flight from its send event on, so a send
+// that makes the conjuncts true does not fire the watch; its receive does.
+func TestStableCountsTheMessageItsSendPuts(t *testing.T) {
+	_, addr := startServer(t, server.Config{})
+	for _, enc := range []string{server.EncodingNDJSON, server.EncodingBinary} {
+		sess, err := client.Dial(addr, client.Config{Processes: 2, Encoding: enc,
+			Watches: []server.Watch{{Op: "STABLE", Pred: "conj(x@P1 == 1)"}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.SendMsg(0, 7, map[string]int{"x": 1})
+		sess.Receive(1, 7, nil)
+		if _, err := sess.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var at []int
+		for _, fr := range sess.Latched() {
+			if fr.Type == server.FrameVerdict {
+				at = append(at, fr.Event)
+			}
+		}
+		if !reflect.DeepEqual(at, []int{2}) {
+			t.Errorf("%s: STABLE verdicts at events %v, want [2] (the receive)", enc, at)
+		}
+	}
 }
