@@ -22,6 +22,10 @@ import (
 // little: longer strings are not interned, and a full table is cleared.
 const maxInterned, maxInternLen = 4096, 64
 
+// maxDepth is encoding/json's nesting limit: the outermost value is at
+// depth 1.
+const maxDepth = 10000
+
 // Scanner reads JSON values from one input. Its errors carry Prefix and
 // the byte offset.
 type Scanner struct {
@@ -160,6 +164,76 @@ func Into[T any](s *Scanner, dst *[]T, elem func(*T) error) error {
 	return err
 }
 
+// Value skips one value of any type, checked as encoding/json checks its
+// input, the nesting limit included. depth is the number of arrays and
+// objects open around the value: 1 for a field of a top-level object. A
+// decoder that ignores unknown fields skips their values with it.
+func (s *Scanner) Value(depth int) error {
+	if s.pos >= len(s.data) {
+		return s.Syntax()
+	}
+	switch c := s.data[s.pos]; {
+	case c == '{' || c == '[':
+		if depth >= maxDepth {
+			return s.Errorf("exceeded max depth")
+		}
+		if c == '[' {
+			return s.Array(func() error { return s.Value(depth + 1) })
+		}
+		return s.Object(func([]byte) error { return s.Value(depth + 1) })
+	case c == '"':
+		_, err := s.Str()
+		return err
+	case c == '-' || c >= '0' && c <= '9':
+		return s.number()
+	}
+	for _, lit := range [...]string{"true", "false", "null"} {
+		if bytes.HasPrefix(s.data[s.pos:], []byte(lit)) {
+			s.pos += len(lit)
+			return nil
+		}
+	}
+	return s.Syntax()
+}
+
+// number skips a JSON number: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+func (s *Scanner) number() error {
+	data, i := s.data, s.pos
+	digits := func() bool {
+		start := i
+		for i < len(data) && data[i] >= '0' && data[i] <= '9' {
+			i++
+		}
+		return i > start
+	}
+	if i < len(data) && data[i] == '-' {
+		i++
+	}
+	if i < len(data) && data[i] == '0' {
+		i++
+	} else if !digits() {
+		s.pos = i
+		return s.Syntax()
+	}
+	if i < len(data) && data[i] == '.' {
+		if i++; !digits() {
+			s.pos = i
+			return s.Syntax()
+		}
+	}
+	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
+		if i++; i < len(data) && (data[i] == '+' || data[i] == '-') {
+			i++
+		}
+		if !digits() {
+			s.pos = i
+			return s.Syntax()
+		}
+	}
+	s.pos = i
+	return nil
+}
+
 // IntField scans an integer into dst; null leaves dst alone.
 func (s *Scanner) IntField(dst *int) error {
 	if s.Null() {
@@ -198,6 +272,17 @@ func (s *Scanner) StrField(dst *string) error {
 	}
 	b, err := s.Str()
 	*dst = s.Intern(b)
+	return err
+}
+
+// TextField scans a string into dst without interning it, for values
+// unique to one input (keys, formulas, messages); null leaves dst alone.
+func (s *Scanner) TextField(dst *string) error {
+	if s.Null() {
+		return nil
+	}
+	b, err := s.Str()
+	*dst = string(b)
 	return err
 }
 
@@ -328,6 +413,24 @@ func (s *Scanner) Intern(b []byte) string {
 	name := string(b)
 	s.names[name] = name
 	return name
+}
+
+// AppendNonEmpty appends key and v quoted unless v is empty: a string
+// field tagged omitempty, key carrying its comma, quotes and colon.
+func AppendNonEmpty(b []byte, key, v string) []byte {
+	if v == "" {
+		return b
+	}
+	return AppendString(append(b, key...), v)
+}
+
+// AppendNonZero appends key and v unless v is 0: an integer field tagged
+// omitempty.
+func AppendNonZero(b []byte, key string, v int64) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendInt(append(b, key...), v, 10)
 }
 
 // AppendString appends s as encoding/json quotes it: <, > and & escaped

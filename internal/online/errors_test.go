@@ -1,8 +1,12 @@
 package online
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/predicate"
 )
 
 // mustPanic asserts fn panics with a message containing want.
@@ -107,5 +111,47 @@ func TestParseConj(t *testing.T) {
 		if _, err := ParseConj(src); err == nil {
 			t.Errorf("ParseConj(%q) accepted", src)
 		}
+	}
+}
+
+// TestParseConjCache: parses are shared through the template cache, but
+// no caller shares a slice — mutating one result leaves the next caller's
+// parse as it was — and the cache stays bounded past its bound of
+// distinct texts.
+func TestParseConjCache(t *testing.T) {
+	const src = "conj(x@P1 == 1, y@P2 >= 2)"
+	first, err := ParseConj(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first[0] = Cmp(3, "z", "<", 9)
+	first[1] = Cmp(2, "w", "==", 0)
+	second, err := ParseConj(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []predicate.VarCmp{Cmp(0, "x", "==", 1), Cmp(1, "y", ">=", 2)}; !reflect.DeepEqual(second, want) {
+		t.Fatalf("after a caller mutated its result, the parse reads %v, want %v", second, want)
+	}
+
+	for i := 0; i < 3*maxTemplates; i++ {
+		if _, err := ParseConj(fmt.Sprintf("x@P1 == %d", i)); err != nil {
+			t.Fatal(err)
+		}
+		templates.mu.Lock()
+		n := len(templates.m)
+		templates.mu.Unlock()
+		if n > maxTemplates {
+			t.Fatalf("after %d distinct texts the cache holds %d, bound %d", i+1, n, maxTemplates)
+		}
+	}
+	if _, err := ParseConj(strings.Repeat(" ", maxTemplateLen) + src); err != nil {
+		t.Fatal(err)
+	}
+	templates.mu.Lock()
+	_, cached := templates.m[strings.Repeat(" ", maxTemplateLen)+src]
+	templates.mu.Unlock()
+	if cached {
+		t.Fatalf("a text longer than %d bytes was cached", maxTemplateLen)
 	}
 }

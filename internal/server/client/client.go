@@ -188,7 +188,7 @@ type Session struct {
 	byeSent bool  // Close initiated; a resume re-sends the bye
 	byeSeq  int64 // the bye's sequence number, for exactly-once re-send
 	stats   Stats
-	pol     *backoff.Policy // reconnect delays; only the single-flight reconnect loop uses it
+	pol     *backoff.Policy // reconnect delays, made at the first retry; only Dial's loop and then the single-flight reconnect loop use it
 
 	// Binary batching state (guarded by wmu). pending accumulates
 	// init/event frames until a flush turns them into one batch frame;
@@ -207,8 +207,8 @@ type Session struct {
 	nextSnap int
 	goodbye  *server.ServerFrame
 
-	verdicts chan server.ServerFrame
-	done     chan struct{} // closed when the session is over (goodbye or fatal)
+	verdicts chan server.ServerFrame // made by the first Verdicts call; guarded by mu
+	done     chan struct{}           // closed when the session is over (goodbye or fatal)
 	doneOne  sync.Once
 }
 
@@ -252,10 +252,8 @@ func Dial(addr string, cfg Config) (*Session, error) {
 		cfg:        cfg,
 		candidates: candidates,
 		snaps:      make(map[int]*snapWaiter),
-		verdicts:   make(chan server.ServerFrame, 256),
 		done:       make(chan struct{}),
 		failed:     make(chan struct{}),
-		pol:        backoff.New(cfg.BackoffBase, cfg.BackoffMax, cfg.JitterSeed),
 	}
 	s.space = sync.NewCond(&s.wmu)
 	hello := server.ClientFrame{
@@ -470,11 +468,27 @@ func (s *Session) Stats() Stats {
 	return s.stats
 }
 
-// Verdicts returns the channel of pushed verdict and error frames. The
-// channel is buffered; if a consumer falls 256 frames behind, further
-// pushes are shed (Latched still has everything). It is never closed;
-// select against Done to end consumption.
-func (s *Session) Verdicts() <-chan server.ServerFrame { return s.verdicts }
+// verdictBuffer is how many pushed frames Verdicts holds for a consumer.
+const verdictBuffer = 256
+
+// Verdicts returns the channel of pushed verdict and error frames; every
+// call returns the same channel. It holds up to 256 frames: if a consumer
+// falls 256 frames behind, further pushes are shed (Latched still has
+// everything). The channel is made by the first call, holding the first
+// 256 frames latched before it — what it would hold had it been made at
+// Dial — so a session nobody consumes this way never pays for it. It is
+// never closed; select against Done to end consumption.
+func (s *Session) Verdicts() <-chan server.ServerFrame {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.verdicts == nil {
+		s.verdicts = make(chan server.ServerFrame, verdictBuffer)
+		for _, fr := range s.frames[:min(len(s.frames), verdictBuffer)] {
+			s.verdicts <- fr
+		}
+	}
+	return s.verdicts
+}
 
 // Latched returns all verdict and error frames pushed so far, in order.
 // Frames redelivered by a resume replay appear exactly once.
@@ -817,11 +831,15 @@ func (s *Session) record(fr server.ServerFrame) {
 		s.lastIdx = fr.Idx
 	}
 	s.frames = append(s.frames, fr)
-	s.mu.Unlock()
-	select {
-	case s.verdicts <- fr:
-	default: // consumer behind; Latched keeps the full record
+	if s.verdicts != nil {
+		// Under mu, so that a first Verdicts call sees each frame either in
+		// the record it seeds from or on the channel, never both.
+		select {
+		case s.verdicts <- fr:
+		default: // consumer behind; Latched keeps the full record
+		}
 	}
+	s.mu.Unlock()
 }
 
 // readerGone handles the end of a connection's read loop (err is nil on
@@ -1057,8 +1075,13 @@ func (s *Session) adopt(conn net.Conn, sc *server.FrameScanner, serverSeq int64,
 }
 
 // backoff returns the delay before reconnect attempt n: the exponential
-// floor plus deterministic jitter over its upper half.
+// floor plus deterministic jitter over its upper half. The policy, whose
+// jitter source is ≈ 5 KB, is made at the first retry, so a session that
+// never retries never pays for it; the delays are the same either way.
 func (s *Session) backoff(attempt int) time.Duration {
+	if s.pol == nil {
+		s.pol = backoff.New(s.cfg.BackoffBase, s.cfg.BackoffMax, s.cfg.JitterSeed)
+	}
 	return s.pol.Delay(attempt)
 }
 

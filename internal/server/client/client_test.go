@@ -13,7 +13,7 @@ import (
 	"repro/internal/server/client"
 )
 
-func startServer(t *testing.T, cfg server.Config) (*server.Server, string) {
+func startServer(t testing.TB, cfg server.Config) (*server.Server, string) {
 	t.Helper()
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()

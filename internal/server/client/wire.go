@@ -1,12 +1,11 @@
 package client
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/jsonscan"
 	"repro/internal/pir"
@@ -35,7 +34,7 @@ func writeClientFrame(w io.Writer, buf *[]byte, f server.ClientFrame) error {
 // them. Batch frames never come here: writeWire sends them in binary.
 func appendClientFrame(b []byte, f server.ClientFrame) []byte {
 	b = jsonscan.AppendString(append(b, `{"type":`...), f.Type)
-	b = appendInt(b, `,"processes":`, int64(f.Processes))
+	b = jsonscan.AppendNonZero(b, `,"processes":`, int64(f.Processes))
 	for i, w := range f.Watches {
 		if i == 0 {
 			b = append(b, `,"watches":[`...)
@@ -55,15 +54,15 @@ func appendClientFrame(b []byte, f server.ClientFrame) []byte {
 	if f.Bounded {
 		b = append(b, `,"bounded":true`...)
 	}
-	b = appendStr(b, `,"encoding":`, f.Encoding)
-	b = appendStr(b, `,"durability":`, f.Durability)
-	b = appendStr(b, `,"session":`, f.Session)
-	b = appendInt(b, `,"seq":`, f.Seq)
-	b = appendInt(b, `,"proc":`, int64(f.Proc))
-	b = appendStr(b, `,"var":`, f.Var)
-	b = appendInt(b, `,"value":`, int64(f.Value))
-	b = appendStr(b, `,"kind":`, f.Kind)
-	b = appendInt(b, `,"msg":`, int64(f.Msg))
+	b = jsonscan.AppendNonEmpty(b, `,"encoding":`, f.Encoding)
+	b = jsonscan.AppendNonEmpty(b, `,"durability":`, f.Durability)
+	b = jsonscan.AppendNonEmpty(b, `,"session":`, f.Session)
+	b = jsonscan.AppendNonZero(b, `,"seq":`, f.Seq)
+	b = jsonscan.AppendNonZero(b, `,"proc":`, int64(f.Proc))
+	b = jsonscan.AppendNonEmpty(b, `,"var":`, f.Var)
+	b = jsonscan.AppendNonZero(b, `,"value":`, int64(f.Value))
+	b = jsonscan.AppendNonEmpty(b, `,"kind":`, f.Kind)
+	b = jsonscan.AppendNonZero(b, `,"msg":`, int64(f.Msg))
 	if len(f.Sets) > 0 {
 		sets := make([]pir.VarSet, 0, 8)
 		for name, v := range f.Sets {
@@ -80,30 +79,103 @@ func appendClientFrame(b []byte, f server.ClientFrame) []byte {
 		}
 		b = append(b, '}')
 	}
-	b = appendInt(b, `,"id":`, int64(f.ID))
-	b = appendStr(b, `,"formula":`, f.Formula)
+	b = jsonscan.AppendNonZero(b, `,"id":`, int64(f.ID))
+	b = jsonscan.AppendNonEmpty(b, `,"formula":`, f.Formula)
 	return append(b, "}\n"...)
 }
 
-// appendStr appends the key and v unless v is empty.
-func appendStr(b []byte, key, v string) []byte {
-	if v == "" {
-		return b
-	}
-	return jsonscan.AppendString(append(b, key...), v)
-}
-
-// appendInt appends the key and v unless v is 0.
-func appendInt(b []byte, key string, v int64) []byte {
-	if v == 0 {
-		return b
-	}
-	return strconv.AppendInt(append(b, key...), v, 10)
-}
-
+// decodeServerFrame parses one server frame into *fr. It accepts what
+// json.Unmarshal accepts and decodes the same frame, with two
+// differences: keys must match exactly (encoding/json also takes a
+// case-folded key), and unknown keys are skipped, so a newer server may
+// add fields.
 func decodeServerFrame(line []byte, fr *server.ServerFrame) error {
-	if err := json.Unmarshal(line, fr); err != nil {
-		return fmt.Errorf("bad server frame: %v", err)
+	d := serverDecoders.Get().(*serverDecoder)
+	d.Reset(line)
+	err := d.frame(fr)
+	if err == nil && !d.Done() {
+		err = d.Errorf("trailing data after frame")
 	}
-	return nil
+	d.Reset(nil)
+	serverDecoders.Put(d)
+	return err
+}
+
+// serverDecoder is one server-frame scanner, pooled like the server's
+// client-frame decoders, so its interned strings (types, session ids,
+// codes) outlive a connection.
+type serverDecoder struct{ jsonscan.Scanner }
+
+var serverDecoders = sync.Pool{New: func() any {
+	return &serverDecoder{jsonscan.Scanner{Prefix: "bad server frame: "}}
+}}
+
+func (d *serverDecoder) frame(fr *server.ServerFrame) error {
+	if d.WS(); d.Null() {
+		return nil
+	}
+	return d.Object(func(key []byte) error {
+		switch string(key) {
+		case "type":
+			return d.StrField(&fr.Type)
+		case "session":
+			return d.StrField(&fr.Session)
+		case "processes":
+			return d.IntField(&fr.Processes)
+		case "watches":
+			return d.IntField(&fr.Watches)
+		case "watch":
+			return d.IntField(&fr.Watch)
+		case "op":
+			return d.StrField(&fr.Op)
+		case "pred":
+			return d.TextField(&fr.Pred)
+		case "event":
+			return d.IntField(&fr.Event)
+		case "cut":
+			return jsonscan.Into(&d.Scanner, &fr.Cut, d.IntField)
+		case "conjunct":
+			return d.TextField(&fr.Conjunct)
+		case "id":
+			return d.IntField(&fr.ID)
+		case "holds":
+			return d.holds(&fr.Holds)
+		case "algorithm":
+			return d.StrField(&fr.Algorithm)
+		case "events":
+			return d.IntField(&fr.Events)
+		case "dropped":
+			return d.IntField(&fr.Dropped)
+		case "seq":
+			return d.Int64Field(&fr.Seq)
+		case "idx":
+			return d.IntField(&fr.Idx)
+		case "resumed":
+			return d.BoolField(&fr.Resumed)
+		case "encoding":
+			return d.StrField(&fr.Encoding)
+		case "error":
+			return d.TextField(&fr.Error)
+		case "code":
+			return d.StrField(&fr.Code)
+		case "owner":
+			return d.StrField(&fr.Owner)
+		}
+		return d.Value(1)
+	})
+}
+
+// holds scans a boolean into a fresh *dst, as encoding/json fills a
+// pointer field; null sets it nil.
+func (d *serverDecoder) holds(dst **bool) error {
+	if d.Null() {
+		*dst = nil
+		return nil
+	}
+	v := new(bool)
+	if *dst != nil {
+		*v = **dst
+	}
+	*dst = v
+	return d.BoolField(v)
 }

@@ -123,9 +123,11 @@ func RegisterHTTP(mux *http.ServeMux, srv *Server) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
+		var b []byte
 		for _, fr := range sess.Frames() {
-			w.Write(appendFrame(fr))
+			b = AppendFrame(b, &fr)
 		}
+		w.Write(b)
 	})
 
 	mux.HandleFunc("POST /api/sessions/{id}/snapshot", func(w http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -36,6 +37,11 @@ type metrics struct {
 	// histograms, so "where does detection time go" is answerable from
 	// /metrics alone: hb_server_stage_seconds{stage=...}.
 	stageDur map[string]*obs.Histogram
+
+	// opened, applied and shed are this server's own sessions, events and
+	// dropped events, for Server.Stats: the registry may be shared with
+	// other servers (obs.Default() is), and then its counters sum them.
+	opened, applied, shed atomic.Int64
 }
 
 // Pipeline stages (hb_server_stage_seconds labels), in traversal order.

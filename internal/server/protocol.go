@@ -21,6 +21,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"repro/internal/jsonscan"
@@ -272,7 +273,7 @@ func (d *frameDecoder) frame(f *ClientFrame) error {
 		case "durability":
 			return d.StrField(&f.Durability)
 		case "session":
-			return d.text(&f.Session)
+			return d.TextField(&f.Session)
 		case "seq":
 			return d.Int64Field(&f.Seq)
 		case "proc":
@@ -290,7 +291,7 @@ func (d *frameDecoder) frame(f *ClientFrame) error {
 		case "id":
 			return d.IntField(&f.ID)
 		case "formula":
-			return d.text(&f.Formula)
+			return d.TextField(&f.Formula)
 		case "batch":
 			return d.batch(&f.Batch)
 		}
@@ -307,7 +308,7 @@ func (d *frameDecoder) watch(w *Watch) error {
 		case "op":
 			return d.StrField(&w.Op)
 		case "pred":
-			return d.text(&w.Pred)
+			return d.TextField(&w.Pred)
 		}
 		return d.Unknown(key)
 	})
@@ -366,17 +367,6 @@ func (d *frameDecoder) sets(m *map[string]int) error {
 		(*m)[name] = v
 		return err
 	})
-}
-
-// text scans a string into dst without interning it, for values unique
-// to a session (keys, formulas, predicates); null leaves dst alone.
-func (d *frameDecoder) text(dst *string) error {
-	if d.Null() {
-		return nil
-	}
-	b, err := d.Str()
-	*dst = string(b)
-	return err
 }
 
 // ValidateHello checks the structural constraints of a hello frame;
@@ -444,12 +434,46 @@ func ValidateResume(f ClientFrame) error {
 	return ValidateEncoding(f.Encoding)
 }
 
-// appendFrame marshals fr as one NDJSON line.
-func appendFrame(fr ServerFrame) []byte {
-	b, err := json.Marshal(fr)
-	if err != nil {
-		// A struct of scalars and slices cannot fail to marshal.
-		panic("server: marshal frame: " + err.Error())
+// AppendFrame appends fr and a newline to b: byte for byte what
+// json.Marshal writes for fr, fields in declaration order, empty ones
+// omitted but for watch and event, strings escaped as encoding/json
+// escapes them. It is the server's one encoder of server frames.
+func AppendFrame(b []byte, fr *ServerFrame) []byte {
+	b = jsonscan.AppendString(append(b, `{"type":`...), fr.Type)
+	b = jsonscan.AppendNonEmpty(b, `,"session":`, fr.Session)
+	b = jsonscan.AppendNonZero(b, `,"processes":`, int64(fr.Processes))
+	b = jsonscan.AppendNonZero(b, `,"watches":`, int64(fr.Watches))
+	b = strconv.AppendInt(append(b, `,"watch":`...), int64(fr.Watch), 10)
+	b = jsonscan.AppendNonEmpty(b, `,"op":`, fr.Op)
+	b = jsonscan.AppendNonEmpty(b, `,"pred":`, fr.Pred)
+	b = strconv.AppendInt(append(b, `,"event":`...), int64(fr.Event), 10)
+	for i, c := range fr.Cut {
+		if i == 0 {
+			b = append(b, `,"cut":[`...)
+		} else {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(c), 10)
 	}
-	return append(b, '\n')
+	if len(fr.Cut) > 0 {
+		b = append(b, ']')
+	}
+	b = jsonscan.AppendNonEmpty(b, `,"conjunct":`, fr.Conjunct)
+	b = jsonscan.AppendNonZero(b, `,"id":`, int64(fr.ID))
+	if fr.Holds != nil {
+		b = strconv.AppendBool(append(b, `,"holds":`...), *fr.Holds)
+	}
+	b = jsonscan.AppendNonEmpty(b, `,"algorithm":`, fr.Algorithm)
+	b = jsonscan.AppendNonZero(b, `,"events":`, int64(fr.Events))
+	b = jsonscan.AppendNonZero(b, `,"dropped":`, int64(fr.Dropped))
+	b = jsonscan.AppendNonZero(b, `,"seq":`, fr.Seq)
+	b = jsonscan.AppendNonZero(b, `,"idx":`, int64(fr.Idx))
+	if fr.Resumed {
+		b = append(b, `,"resumed":true`...)
+	}
+	b = jsonscan.AppendNonEmpty(b, `,"encoding":`, fr.Encoding)
+	b = jsonscan.AppendNonEmpty(b, `,"error":`, fr.Error)
+	b = jsonscan.AppendNonEmpty(b, `,"code":`, fr.Code)
+	b = jsonscan.AppendNonEmpty(b, `,"owner":`, fr.Owner)
+	return append(b, "}\n"...)
 }

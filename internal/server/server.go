@@ -270,6 +270,7 @@ func (s *Server) Open(cfg SessionConfig) (*Session, error) {
 		return nil, err
 	}
 	s.met.sessionsTotal.Inc()
+	s.met.opened.Add(1)
 	s.logf("session %s opened: %d processes, %d watches (resumable=%v, bounded=%v)", id, cfg.Processes, len(ws), cfg.Resumable, cfg.Bounded)
 	go sess.run()
 	return sess, nil
@@ -518,10 +519,11 @@ func (s *Server) SessionCount() int {
 	return len(s.sessions)
 }
 
-// Stats returns cumulative counters: sessions opened, events applied,
-// events dropped — the shutdown summary.
+// Stats returns this server's cumulative counts: sessions opened, events
+// applied, events dropped — the shutdown summary. Unlike the registry's
+// counters, they never include another server's.
 func (s *Server) Stats() (sessions, events, dropped int64) {
-	return s.met.sessionsTotal.Value(), s.met.events.Value(), s.met.dropped.Value()
+	return s.met.opened.Load(), s.met.applied.Load(), s.met.shed.Load()
 }
 
 // remove releases a finished session, retiring its key with rk when rk

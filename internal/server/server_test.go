@@ -519,3 +519,41 @@ func rawExchange(t *testing.T, addr, payload string) server.ServerFrame {
 	}
 	return fr
 }
+
+// TestStatsCountOneServer: Stats counts the server it is called on. Both
+// servers here leave Registry nil, so their metrics share obs.Default(),
+// whose counters sum every server in the process; each Stats still
+// reports only its own sessions and events.
+func TestStatsCountOneServer(t *testing.T) {
+	feed := func(srv *server.Server, sessions, events int) {
+		for i := 0; i < sessions; i++ {
+			sess, err := srv.Open(server.SessionConfig{Processes: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < events; j++ {
+				if err := sess.Ingest(server.ClientFrame{Type: server.FrameEvent, Proc: 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sess.Close("bye")
+			<-sess.Done()
+		}
+	}
+	a, b := server.New(server.Config{}), server.New(server.Config{})
+	defer a.Shutdown(context.Background()) //nolint:errcheck // nothing is open
+	defer b.Shutdown(context.Background()) //nolint:errcheck // nothing is open
+	feed(a, 2, 3)
+	feed(b, 1, 5)
+	for _, c := range []struct {
+		name                    string
+		srv                     *server.Server
+		sessions, events, drops int64
+	}{{"first", a, 2, 6, 0}, {"second", b, 1, 5, 0}} {
+		sessions, events, dropped := c.srv.Stats()
+		if sessions != c.sessions || events != c.events || dropped != c.drops {
+			t.Errorf("%s server: Stats = %d sessions, %d events, %d dropped; want %d, %d, %d",
+				c.name, sessions, events, dropped, c.sessions, c.events, c.drops)
+		}
+	}
+}

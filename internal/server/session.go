@@ -102,7 +102,9 @@ var unitTypes = [...]string{unitBatch: "batch", unitReject: "reject", unitSnapsh
 
 // inFrame is one queued unit of ingest work. The transports turn wire
 // frames into units (the TCP reader's gather, Session.Ingest for every
-// other caller), so the monitor loop never sees a ClientFrame.
+// other caller), so the monitor loop never sees a ClientFrame. The queue
+// carries pointers to pooled units, so an idle session's queue is a
+// slice of pointers, not QueueDepth units.
 type inFrame struct {
 	batch *pir.Batch       // unitBatch: the rows, recycled after apply
 	resp  chan ServerFrame // non-nil for requests awaiting an in-band reply
@@ -114,17 +116,22 @@ type inFrame struct {
 	kind  unitKind
 }
 
+// units recycles queue units; the monitor loop returns each one it took.
+var units = sync.Pool{New: func() any { return new(inFrame) }}
+
 // attachment is one transport subscription (a TCP connection's writer).
 // done is closed when the transport goes away, so an emit blocked on a
-// full channel never wedges the monitor loop on a dead connection.
+// full channel never wedges the monitor loop on a dead connection. The
+// channel carries a frame per send, allocated by the sender, so an idle
+// connection holds 64 pointers, not 64 frames.
 type attachment struct {
-	ch       chan ServerFrame
+	ch       chan *ServerFrame
 	done     chan struct{}
 	doneOnce sync.Once
 }
 
 func newAttachment() *attachment {
-	return &attachment{ch: make(chan ServerFrame, 64), done: make(chan struct{})}
+	return &attachment{ch: make(chan *ServerFrame, 64), done: make(chan struct{})}
 }
 
 // close marks the transport gone. Safe to call multiple times.
@@ -150,7 +157,7 @@ type Session struct {
 	id  string
 	n   int
 
-	queue chan inFrame
+	queue chan *inFrame
 	stop  chan struct{} // closed by Close: the loop drains and exits
 	done  chan struct{} // closed when the loop has exited
 
@@ -194,7 +201,7 @@ func newSession(srv *Server, id string, n int, watches []*watchState, bounded bo
 		srv:     srv,
 		id:      id,
 		n:       n,
-		queue:   make(chan inFrame, srv.cfg.QueueDepth),
+		queue:   make(chan *inFrame, srv.cfg.QueueDepth),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 		mon:     mon,
@@ -464,27 +471,46 @@ func (s *Session) enqueueRaw(in inFrame) error {
 		if q := len(s.queue); q > 0 && q+n > cap(s.queue) {
 			return s.shed(int64(n))
 		}
+		u := newUnit(in)
 		select {
-		case s.queue <- in:
+		case s.queue <- u:
 			return nil
 		case <-s.stop:
+			freeUnit(u)
 			return ErrClosed
 		default:
+			freeUnit(u)
 			return s.shed(int64(n))
 		}
 	}
+	u := newUnit(in)
 	select {
-	case s.queue <- in:
+	case s.queue <- u:
 		return nil
 	case <-s.stop:
+		freeUnit(u)
 		return ErrClosed
 	}
+}
+
+// newUnit returns a pooled copy of in for the queue.
+func newUnit(in inFrame) *inFrame {
+	u := units.Get().(*inFrame)
+	*u = in
+	return u
+}
+
+// freeUnit clears u and returns it to the pool.
+func freeUnit(u *inFrame) {
+	*u = inFrame{}
+	units.Put(u)
 }
 
 // shed counts n events dropped by the overflow policy.
 func (s *Session) shed(n int64) error {
 	s.dropped.Add(n)
 	s.srv.met.dropped.Add(n)
+	s.srv.met.shed.Add(n)
 	return ErrDropped
 }
 
@@ -536,13 +562,15 @@ func (s *Session) run() {
 	defer s.srv.wg.Done()
 	for {
 		select {
-		case f := <-s.queue:
-			s.handle(f)
+		case u := <-s.queue:
+			s.handle(u)
+			freeUnit(u)
 		case <-s.stop:
 			for {
 				select {
-				case f := <-s.queue:
-					s.handle(f)
+				case u := <-s.queue:
+					s.handle(u)
+					freeUnit(u)
 				default:
 					s.finish()
 					return
@@ -583,7 +611,7 @@ func (s *Session) finish() {
 	s.srv.remove(s, rk)
 	if att != nil {
 		select {
-		case att.ch <- gb:
+		case att.ch <- &gb:
 		default: // writer backlogged; accounting still available via Goodbye
 		}
 	}
@@ -595,7 +623,7 @@ func (s *Session) finish() {
 	close(s.done)
 }
 
-func (s *Session) handle(u inFrame) {
+func (s *Session) handle(u *inFrame) {
 	s.lastActive.Store(time.Now().UnixNano())
 	if u.kind == unitFlush {
 		u.resp <- ServerFrame{Type: FrameAck}
@@ -685,7 +713,7 @@ func (s *Session) Ack(seq int64) {
 // reject reports a non-fatal protocol error back to the client. The
 // session keeps running: semantic errors are per-frame, and a lossy
 // (drop-policy) session routinely produces them.
-func (s *Session) reject(u inFrame, msg string) {
+func (s *Session) reject(u *inFrame, msg string) {
 	s.srv.met.protoErrors.Inc()
 	fr := ServerFrame{Type: FrameError, Session: s.id, ID: u.id, Event: s.mon.Events(), Error: msg}
 	if u.resp != nil {
@@ -766,7 +794,7 @@ func AppendRow(b *pir.Batch, f *ClientFrame, n int) string {
 // range is checked here first, because an init row and the watch
 // registration an event row triggers both come before Apply. Returns the
 // number of events applied (inits and rejected rows do not count).
-func (s *Session) handleBatch(f inFrame) int64 {
+func (s *Session) handleBatch(f *inFrame) int64 {
 	b := f.batch
 	var applied int64
 	for i, n := 0, b.Len(); i < n; i++ {
@@ -805,6 +833,7 @@ func (s *Session) handleBatch(f inFrame) int64 {
 		s.checkWatches()
 	}
 	if applied > 0 {
+		s.srv.met.applied.Add(applied)
 		// Every event of the unit shares its enqueue-to-applied latency.
 		lat := time.Since(f.enq)
 		s.latNanos.Add(lat.Nanoseconds() * applied)
@@ -813,7 +842,7 @@ func (s *Session) handleBatch(f inFrame) int64 {
 	return applied
 }
 
-func (s *Session) handleSnapshot(f inFrame) {
+func (s *Session) handleSnapshot(f *inFrame) {
 	if s.mon.Bounded() {
 		s.reject(f, "snapshot unavailable on a bounded session (event prefix not retained)")
 		return
@@ -919,14 +948,16 @@ func (s *Session) emit(fr ServerFrame, record bool) {
 	if att == nil {
 		return
 	}
+	p := new(ServerFrame)
+	*p = fr
 	// Prefer the buffered send: during the post-Close drain stop is
 	// already closed, but the writer is still draining the subscriber, so
 	// verdicts for drained events must not be shed while there is room.
 	select {
-	case att.ch <- fr:
+	case att.ch <- p:
 	default:
 		select {
-		case att.ch <- fr:
+		case att.ch <- p:
 		case <-att.done:
 			// Transport died with a backlogged channel; recorded frames
 			// reach the client via resume replay or Frames / Goodbye.

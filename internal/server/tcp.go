@@ -50,26 +50,39 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// flush writes every frame already queued on ch, stopping at the first
-// write error (the peer is gone; recorded frames replay on resume).
-func flush(conn net.Conn, ch chan ServerFrame) {
-	for {
-		select {
-		case fr := <-ch:
-			if writeFrame(conn, fr) != nil {
-				return
-			}
-		default:
-			return
-		}
+// writeBurst encodes fr (when non-nil) and every frame already queued on
+// ch into *buf and writes them with one deadline and one conn.Write. Only
+// the connection's writer receives from ch, so the frames len(ch) counts
+// are there to take. An error means the peer is gone; recorded frames
+// replay on resume.
+func writeBurst(conn net.Conn, buf *[]byte, fr *ServerFrame, ch chan *ServerFrame) error {
+	b := (*buf)[:0]
+	if fr != nil {
+		b = AppendFrame(b, fr)
 	}
+	for n := len(ch); n > 0; n-- {
+		b = AppendFrame(b, <-ch)
+	}
+	if cap(b) <= maxKeptWriteBuffer {
+		*buf = b // a large burst's buffer is left to the GC
+	}
+	if len(b) == 0 {
+		return nil
+	}
+	conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
+	_, err := conn.Write(b)
+	return err
 }
+
+// maxKeptWriteBuffer is the largest buffer a connection's writer keeps
+// between bursts.
+const maxKeptWriteBuffer = 4 << 10
 
 // writeFrame writes one NDJSON frame, refusing to block forever on a
 // stuck peer.
 func writeFrame(conn net.Conn, fr ServerFrame) error {
 	conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-	_, err := conn.Write(appendFrame(fr))
+	_, err := conn.Write(AppendFrame(nil, &fr))
 	return err
 }
 
@@ -228,7 +241,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		// connection ingests, so nothing latches in between.
 		w := sess.Welcome()
 		w.Encoding = first.Encoding
-		att.ch <- w
+		att.ch <- &w
 		sess.attach(att)
 	case FrameResume:
 		resumed, welcome, replay, code, err := s.resume(first, att)
@@ -301,10 +314,11 @@ func (s *Server) handleConn(conn net.Conn) {
 		// session ends server-side (shutdown, idle timeout): the goodbye
 		// frame is flushed first by the drain below.
 		defer conn.Close()
+		var buf []byte
 		for {
 			select {
 			case fr := <-att.ch:
-				if writeFrame(conn, fr) != nil {
+				if writeBurst(conn, &buf, fr, att.ch) != nil {
 					return
 				}
 			case <-att.done:
@@ -313,11 +327,11 @@ func (s *Server) handleConn(conn net.Conn) {
 				// here, and select may have picked this case over att.ch —
 				// then stop. Recorded frames that fail to flush replay on
 				// resume; a best-effort flush to a dead conn just errors out.
-				flush(conn, att.ch)
+				writeBurst(conn, &buf, nil, att.ch) //nolint:errcheck // stopping either way
 				return
 			case <-sess.Done():
 				// Flush frames emitted before Done closed, then stop.
-				flush(conn, att.ch)
+				writeBurst(conn, &buf, nil, att.ch) //nolint:errcheck // stopping either way
 				return
 			}
 		}
