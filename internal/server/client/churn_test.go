@@ -1,7 +1,9 @@
 package client_test
 
 import (
+	"net"
 	"testing"
+	"time"
 
 	"repro/internal/server"
 	"repro/internal/server/client"
@@ -43,13 +45,22 @@ func feedSession(sess *client.Session) {
 // BenchmarkDialChurn is the life of one offline-sliced serving session
 // over loopback: dial, 96 binary events, Flush, bye and goodbye, against
 // a server that Serves throughout. ns/op, B/op and allocs/op are per
-// session, client and server together.
+// session, client and server together. pooled sends each hello on the
+// connection the last session's goodbye left in the idle pool; fresh
+// dials through Config.Dial, which bypasses the pool, and so pays a TCP
+// connect and close per session.
 func BenchmarkDialChurn(b *testing.B) {
 	_, addr := startServer(b, server.Config{})
+	fresh := churnConfig
+	fresh.Dial = func(a string) (net.Conn, error) { return net.DialTimeout("tcp", a, 5*time.Second) }
+	b.Run("pooled", func(b *testing.B) { dialChurn(b, addr, churnConfig) })
+	b.Run("fresh", func(b *testing.B) { dialChurn(b, addr, fresh) })
+}
+
+func dialChurn(b *testing.B, addr string, cfg client.Config) {
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sess, err := client.Dial(addr, churnConfig)
+		sess, err := client.Dial(addr, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

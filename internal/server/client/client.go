@@ -71,7 +71,9 @@ type Config struct {
 	// ack interval or writers and acks deadlock.
 	BufferLimit int
 	// Dial overrides the dialer — the hook fault-injection tests use to
-	// hand the session deliberately unreliable connections.
+	// hand the session deliberately unreliable connections. A session
+	// with its own dialer neither takes a connection from the idle pool
+	// nor leaves one in it.
 	Dial func(addr string) (net.Conn, error)
 
 	// Bounded opens the session in bounded retained-state mode: the
@@ -177,6 +179,7 @@ type Session struct {
 	wmu     sync.Mutex // serializes writes, the msg-id counter, and connection state
 	space   *sync.Cond // on wmu; signaled when the outbox shrinks or state changes
 	conn    net.Conn   // current connection; nil while disconnected
+	addr    string     // the candidate conn was dialed at, its idle pool key; "" once a resume installed conn, which is never pooled
 	nextMsg int
 	nextSeq int64
 	acked   int64                // highest seq the server confirmed applied or accepted
@@ -192,8 +195,8 @@ type Session struct {
 
 	// Binary batching state (guarded by wmu). pending accumulates
 	// init/event frames until a flush turns them into one batch frame;
-	// enc interns variable names per connection (reset on every
-	// (re)connect, mirroring the server's per-connection decode table);
+	// enc interns variable names per session and connection (reset on
+	// every reconnect, mirroring the server's per-session decode table);
 	// pbuf/wbuf are reused encode buffers, wbuf for NDJSON lines too.
 	pending *pir.Batch
 	enc     pir.VarTable
@@ -206,6 +209,7 @@ type Session struct {
 	snaps    map[int]*snapWaiter
 	nextSnap int
 	goodbye  *server.ServerFrame
+	spent    net.Conn // the connection the goodbye arrived on, nothing buffered behind it
 
 	verdicts chan server.ServerFrame // made by the first Verdicts call; guarded by mu
 	done     chan struct{}           // closed when the session is over (goodbye or fatal)
@@ -277,8 +281,10 @@ func Dial(addr string, cfg Config) (*Session, error) {
 	var welcome server.ServerFrame
 	first := hello
 	streak := 0
+	var dialed string
 	for tries := 0; ; tries++ {
-		conn, sc, welcome, err = s.connect(s.curAddr(), first)
+		dialed = s.curAddr()
+		conn, sc, welcome, err = s.connect(dialed, first, tries == 0)
 		if err == nil {
 			break
 		}
@@ -319,13 +325,14 @@ func Dial(addr string, cfg Config) (*Session, error) {
 		}
 		time.Sleep(s.backoff(tries))
 	}
-	s.conn = conn
+	s.conn, s.addr = conn, dialed
 	s.id = welcome.Session
 	if welcome.Resumed {
 		// Adopted an orphan: align the sequence space with whatever the
 		// server already accepted under this key.
 		s.nextSeq = welcome.Seq
 		s.acked = welcome.Seq
+		s.addr = "" // as in adopt, a resumed connection is never pooled
 	}
 	go s.read(conn, sc)
 	return s, nil
@@ -402,11 +409,23 @@ func (s *Session) followRedirect(owner string) {
 	s.wmu.Unlock()
 }
 
-// connect dials and performs one handshake (hello or resume), returning
-// the connection, its scanner (which may have buffered frames past the
-// welcome), and the welcome frame.
-func (s *Session) connect(addr string, first server.ClientFrame) (net.Conn, *server.FrameScanner, server.ServerFrame, error) {
-	var zero server.ServerFrame
+// connect performs one handshake (hello or resume) on a connection to
+// addr, returning the connection, its scanner (which may have buffered
+// frames past the welcome), and the welcome frame. With pooled set it
+// first tries a connection kept in the idle pool. A kept connection the
+// server has closed meanwhile fails its handshake with anything but a
+// rejection; it costs that one round trip, and connect dials fresh at
+// once.
+func (s *Session) connect(addr string, first server.ClientFrame, pooled bool) (net.Conn, *server.FrameScanner, server.ServerFrame, error) {
+	if pooled && s.cfg.Dial == nil {
+		if conn := takeIdle(addr); conn != nil {
+			conn, sc, welcome, err := s.handshake(conn, first)
+			var re *resumeError
+			if err == nil || errors.As(err, &re) {
+				return conn, sc, welcome, err
+			}
+		}
+	}
 	var conn net.Conn
 	var err error
 	if s.cfg.Dial != nil {
@@ -415,8 +434,15 @@ func (s *Session) connect(addr string, first server.ClientFrame) (net.Conn, *ser
 		conn, err = net.DialTimeout("tcp", addr, s.cfg.DialTimeout)
 	}
 	if err != nil {
-		return nil, nil, zero, fmt.Errorf("client: %w", err)
+		return nil, nil, server.ServerFrame{}, fmt.Errorf("client: %w", err)
 	}
+	return s.handshake(conn, first)
+}
+
+// handshake sends first on conn and reads the answer; on any failure it
+// closes conn.
+func (s *Session) handshake(conn net.Conn, first server.ClientFrame) (net.Conn, *server.FrameScanner, server.ServerFrame, error) {
+	var zero server.ServerFrame
 	conn.SetDeadline(time.Now().Add(s.cfg.DialTimeout))
 	var buf []byte
 	if err := writeClientFrame(conn, &buf, first); err != nil {
@@ -581,28 +607,42 @@ func (s *Session) Snapshot(formula string) (server.ServerFrame, error) {
 }
 
 // Close sends the bye frame, waits for the server's goodbye (or the
-// connection to end), closes the connection, and returns the final
+// connection to end), releases the connection, and returns the final
 // accounting frame when one was received. In reconnect mode a bye lost
-// with the connection is re-sent by the resume handshake.
+// with the connection is re-sent by the resume handshake. A connection
+// that carried the goodbye answering this bye, with no error and nothing
+// after it, goes to the idle pool for the next Dial to its address;
+// any other is closed.
 func (s *Session) Close() (*server.ServerFrame, error) {
 	// One critical section: byeSent and the bye's seq must be set
 	// atomically with the write, or a concurrent resume could replay an
 	// unsequenced bye that bypasses the server's gap check.
 	s.wmu.Lock()
+	answered := !s.isDone() // a goodbye still to come answers this bye
 	s.byeSent = true
 	err := s.writeLocked(server.ClientFrame{Type: server.FrameBye})
 	s.wmu.Unlock()
 	if s.cfg.Reconnect && errors.Is(err, errDisconnected) {
 		err = nil
 	}
+	timeout := time.NewTimer(10 * time.Second)
 	select {
 	case <-s.done:
-	case <-time.After(10 * time.Second):
+	case <-timeout.C:
 		err = errors.New("client: timed out waiting for goodbye")
 	}
+	timeout.Stop()
+	s.mu.Lock()
+	spent, clean := s.spent, s.goodbye != nil && s.goodbye.Error == ""
+	s.mu.Unlock()
 	s.wmu.Lock()
 	if s.conn != nil {
-		s.conn.Close()
+		if answered && clean && err == nil && s.err == nil && s.cfg.Dial == nil && s.addr != "" && s.conn == spent {
+			putIdle(s.addr, s.conn)
+		} else {
+			s.conn.Close()
+		}
+		s.conn = nil // later writes must not reach a connection the pool hands on
 	}
 	s.wmu.Unlock()
 	if gb := s.Goodbye(); gb != nil {
@@ -784,6 +824,9 @@ func (s *Session) read(conn net.Conn, sc *server.FrameScanner) {
 		case fr.Type == server.FrameGoodbye:
 			s.mu.Lock()
 			s.goodbye = &fr
+			if sc.Buffered() == 0 {
+				s.spent = conn
+			}
 			s.mu.Unlock()
 			s.finish()
 			return
@@ -952,7 +995,7 @@ func (s *Session) reconnectLoop() {
 		addr := s.candidates[s.cand]
 		ringAware := len(s.candidates) > 1
 		s.wmu.Unlock()
-		conn, sc, welcome, err := s.connect(addr, server.ClientFrame{Type: server.FrameResume, Session: s.id, Seq: acked, Encoding: s.cfg.Encoding})
+		conn, sc, welcome, err := s.connect(addr, server.ClientFrame{Type: server.FrameResume, Session: s.id, Seq: acked, Encoding: s.cfg.Encoding}, false)
 		if err != nil {
 			var re *resumeError
 			if !errors.As(err, &re) {
@@ -1036,9 +1079,9 @@ func (s *Session) adopt(conn net.Conn, sc *server.FrameScanner, serverSeq int64,
 
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	// The server's variable-interning table is per connection; start this
-	// connection's encoder table fresh so replayed batches re-emit their
-	// name declarations.
+	// The server's variable-interning table is per session on a
+	// connection; start this connection's encoder table fresh so replayed
+	// batches re-emit their name declarations.
 	s.enc.Reset()
 	if serverSeq > s.acked {
 		// The server accepted more than it had acked before the outage.
@@ -1064,7 +1107,9 @@ func (s *Session) adopt(conn net.Conn, sc *server.FrameScanner, serverSeq int64,
 			return false
 		}
 	}
-	s.conn = conn
+	// A resumed connection is never pooled: its goodbye may be a terminal
+	// replay's, after which the server closes it.
+	s.conn, s.addr = conn, ""
 	s.rejoin = false
 	s.stats.Reconnects++
 	s.stats.Replayed += len(replay)

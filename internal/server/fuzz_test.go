@@ -12,7 +12,6 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -214,30 +213,22 @@ func FuzzDecodeClientFrame(f *testing.F) {
 	})
 }
 
-// fuzzSrv is the shared server FuzzFirstFrame connections hit; one per
-// process keeps iterations cheap.
-var (
-	fuzzSrvOnce sync.Once
-	fuzzSrvAddr string
-	fuzzSrv     *Server
-)
-
+// fuzzServer starts the server a fuzz target's connections hit, one per
+// target and process, which keeps iterations cheap; the target's end
+// shuts it down.
 func fuzzServer(f *testing.F) string {
-	fuzzSrvOnce.Do(func() {
-		fuzzSrv = New(Config{Registry: obs.NewRegistry(), ReadTimeout: time.Second, IdleTimeout: time.Second})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			f.Fatal(err)
-		}
-		go fuzzSrv.Serve(ln) //nolint:errcheck
-		fuzzSrvAddr = ln.Addr().String()
-	})
+	srv := New(Config{Registry: obs.NewRegistry(), ReadTimeout: time.Second, IdleTimeout: time.Second})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	go srv.Serve(ln) //nolint:errcheck // ends when Shutdown closes the listener
 	f.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		fuzzSrv.Shutdown(ctx) //nolint:errcheck // repeated shutdown across fuzz targets is fine
+		srv.Shutdown(ctx) //nolint:errcheck // the target is over
 	})
-	return fuzzSrvAddr
+	return ln.Addr().String()
 }
 
 // FuzzFirstFrame throws arbitrary bytes at a live server as the opening

@@ -14,6 +14,7 @@ type metrics struct {
 	sessionsActive *obs.Gauge     // hb_server_sessions_active
 	sessionsTotal  *obs.Counter   // hb_server_sessions_opened_total
 	connsActive    *obs.Gauge     // hb_server_connections_active
+	connsReused    *obs.Counter   // hb_server_connections_reused_total
 	events         *obs.Counter   // hb_server_events_total
 	dropped        *obs.Counter   // hb_server_events_dropped_total
 	ingestDur      *obs.Histogram // hb_server_ingest_seconds
@@ -46,14 +47,15 @@ type metrics struct {
 
 // Pipeline stages (hb_server_stage_seconds labels), in traversal order.
 const (
-	StageAccept  = "accept"  // connection handshake: first frame read → session attached
+	StageAccept  = "accept"  // handshake: connection accepted (a kept one: frame read) → session attached
 	StageDecode  = "decode"  // one frame, and the lines gathered with it → ClientFrames
 	StageEnqueue = "enqueue" // ingest call → unit queued (blocking = backpressure)
 	StageApply   = "apply"   // monitor step: unit applied to detection state
 	StageVerdict = "verdict" // watch latch → verdict frame emitted
+	StageClose   = "close"   // bye read → goodbye written
 )
 
-var stages = []string{StageAccept, StageDecode, StageEnqueue, StageApply, StageVerdict}
+var stages = []string{StageAccept, StageDecode, StageEnqueue, StageApply, StageVerdict, StageClose}
 
 // stage records one duration under the named pipeline stage.
 func (m *metrics) stage(name string, d time.Duration) {
@@ -64,7 +66,7 @@ func (m *metrics) stage(name string, d time.Duration) {
 
 // Typed TCP connection close reasons (hb_server_conn_closes_total labels).
 const (
-	CloseBye         = "bye"            // client sent bye; orderly close
+	CloseBye         = "bye"            // orderly close after a session's bye
 	CloseSessionDone = "session_done"   // session ended server-side (shutdown, idle, error)
 	CloseEOF         = "eof"            // peer closed the connection
 	CloseReadTimeout = "read_timeout"   // read deadline expired on a silent/half-open peer
@@ -91,6 +93,8 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Detection sessions opened since start."),
 		connsActive: reg.Gauge("hb_server_connections_active",
 			"TCP ingest connections currently open."),
+		connsReused: reg.Counter("hb_server_connections_reused_total",
+			"Handshakes on TCP connections that had already served a session."),
 		events: reg.Counter("hb_server_events_total",
 			"Events applied to session monitors."),
 		dropped: reg.Counter("hb_server_events_dropped_total",
@@ -128,7 +132,7 @@ func stageHistograms(reg *obs.Registry) map[string]*obs.Histogram {
 	m := make(map[string]*obs.Histogram, len(stages))
 	for _, st := range stages {
 		m[st] = reg.Histogram(`hb_server_stage_seconds{stage="`+st+`"}`,
-			"Per-stage pipeline latency: accept, decode, enqueue, apply, verdict.", nil)
+			"Per-stage pipeline latency: accept, decode, enqueue, apply, verdict, close.", nil)
 	}
 	return m
 }

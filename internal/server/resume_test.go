@@ -3,6 +3,7 @@ package server_test
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"testing"
@@ -72,7 +73,8 @@ func (r *rawSession) closed() bool {
 	r.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	for r.sc.Scan() {
 	}
-	return true // Scan returned false: EOF or error, either way closed
+	var ne net.Error
+	return !errors.As(r.sc.Err(), &ne) || !ne.Timeout() // EOF or reset, not the deadline
 }
 
 func decodeFrame(b []byte, fr *server.ServerFrame) error {

@@ -174,6 +174,7 @@ type Server struct {
 
 	lnMu sync.Mutex
 	lns  []net.Listener
+	idle map[net.Conn]struct{} // TCP connections waiting between sessions; Shutdown closes them
 
 	wg       sync.WaitGroup // session loops and connection handlers
 	stop     chan struct{}
@@ -579,17 +580,21 @@ func (s *Server) janitor() {
 
 // Shutdown stops accepting new sessions and connections, closes every
 // open session (each monitor loop drains the events its transports
-// already enqueued), and waits for all loops and connection handlers to
-// exit, or for ctx to expire.
+// already enqueued) and every connection waiting between sessions, and
+// waits for all loops and connection handlers to exit, or for ctx to
+// expire.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.lnMu.Lock()
 	s.draining.Store(true)
-	lns := s.lns
-	s.lns = nil
+	lns, idle := s.lns, s.idle
+	s.lns, s.idle = nil, nil
 	s.lnMu.Unlock()
 	s.stopOnce.Do(func() { close(s.stop) })
 	for _, ln := range lns {
 		ln.Close()
+	}
+	for conn := range idle {
+		conn.Close() // its handler is parked in a read with no session to drain
 	}
 	for _, sess := range s.snapshotSessions() {
 		sess.Close("server shutting down")

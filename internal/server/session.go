@@ -119,15 +119,18 @@ type inFrame struct {
 // units recycles queue units; the monitor loop returns each one it took.
 var units = sync.Pool{New: func() any { return new(inFrame) }}
 
-// attachment is one transport subscription (a TCP connection's writer).
-// done is closed when the transport goes away, so an emit blocked on a
-// full channel never wedges the monitor loop on a dead connection. The
-// channel carries a frame per send, allocated by the sender, so an idle
-// connection holds 64 pointers, not 64 frames.
+// attachment is one transport subscription (a TCP connection's writer
+// for one session). done is closed when the transport goes away, so an
+// emit blocked on a full channel never wedges the monitor loop on a dead
+// connection. The channel carries a frame per send, allocated by the
+// sender, so an idle connection holds 64 pointers, not 64 frames. byeAt
+// is when the connection's reader read the session's bye (unix nanos, 0
+// before): from then on nothing parks in a read of this session.
 type attachment struct {
 	ch       chan *ServerFrame
 	done     chan struct{}
 	doneOnce sync.Once
+	byeAt    atomic.Int64
 }
 
 func newAttachment() *attachment {

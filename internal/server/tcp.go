@@ -11,9 +11,10 @@ import (
 
 // Serve accepts TCP ingest connections on ln until the listener is
 // closed (Shutdown closes it). Each connection speaks the NDJSON frame
-// protocol: a hello frame opens a dedicated session (a resume frame
-// reattaches to a live one), event frames stream the computation, and
-// verdict frames are pushed back as they latch.
+// protocol: a hello frame opens a session (a resume frame reattaches to
+// a live one), event frames stream the computation, and verdict frames
+// are pushed back as they latch. A connection carries sessions one after
+// another: after a session's goodbye it waits for the next handshake.
 func (s *Server) Serve(ln net.Listener) error {
 	s.lnMu.Lock()
 	if s.draining.Load() {
@@ -51,27 +52,31 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // writeBurst encodes fr (when non-nil) and every frame already queued on
-// ch into *buf and writes them with one deadline and one conn.Write. Only
-// the connection's writer receives from ch, so the frames len(ch) counts
-// are there to take. An error means the peer is gone; recorded frames
-// replay on resume.
-func writeBurst(conn net.Conn, buf *[]byte, fr *ServerFrame, ch chan *ServerFrame) error {
+// ch into *buf, up to and including a goodbye, and writes them with one
+// deadline and one conn.Write; it reports whether a goodbye was among
+// them. Only the connection's writer receives from ch, so the frames
+// len(ch) counts are there to take. An error means the peer is gone;
+// recorded frames replay on resume.
+func writeBurst(conn net.Conn, buf *[]byte, fr *ServerFrame, ch chan *ServerFrame) (bool, error) {
 	b := (*buf)[:0]
+	bye := fr != nil && fr.Type == FrameGoodbye
 	if fr != nil {
 		b = AppendFrame(b, fr)
 	}
-	for n := len(ch); n > 0; n-- {
-		b = AppendFrame(b, <-ch)
+	for n := len(ch); n > 0 && !bye; n-- {
+		fr = <-ch
+		b = AppendFrame(b, fr)
+		bye = fr.Type == FrameGoodbye
 	}
 	if cap(b) <= maxKeptWriteBuffer {
 		*buf = b // a large burst's buffer is left to the GC
 	}
 	if len(b) == 0 {
-		return nil
+		return false, nil
 	}
 	conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
 	_, err := conn.Write(b)
-	return err
+	return bye, err
 }
 
 // maxKeptWriteBuffer is the largest buffer a connection's writer keeps
@@ -125,33 +130,94 @@ func tooLongFrame(session string) ServerFrame {
 		Error: fmt.Sprintf("server: frame exceeds %d bytes; close and reconnect with smaller frames", MaxFrameBytes)}
 }
 
-// handleConn runs one TCP connection: handshake (hello opens a session,
-// resume reattaches to one), then a reader loop ingesting frames and a
-// writer goroutine pushing latched frames back. The writer owns all
-// writes after the handshake; it exits when the session finishes or the
-// transport detaches, and the subscriber channel is never closed (so a
-// drain-time emit cannot panic).
-//
-// When the connection ends, a resumable session detaches — it keeps
-// running, frames latch into its record, and a later resume replays
-// them — while a plain session closes, exactly as before resumability
-// existed.
+// handleConn runs one TCP connection: one session after another, each
+// opened by a handshake (hello opens a session, resume reattaches to
+// one). A session's goodbye is its last frame on the connection: once
+// the goodbye answering a bye is written, the connection waits for the
+// next handshake under the same read deadline, and the server writes
+// nothing on it until it answers one. Any other end of a session ends
+// the connection.
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
 	s.met.connsActive.Add(1)
 	defer s.met.connsActive.Add(-1)
-	connStart := time.Now()
-
 	sc := NewFrameScanner(conn)
-	s.armReadDeadline(conn)
-	if !sc.Scan() {
-		if errors.Is(sc.Err(), ErrFrameTooLong) {
-			writeFrame(conn, tooLongFrame(""))
+	start := time.Now()
+	for kept := false; ; kept = true {
+		if kept && !s.park(conn) {
+			s.met.connClosed(CloseSessionDone)
+			return
 		}
-		s.met.connClosed(scanEndReason(sc.Err()))
-		return
+		s.armReadDeadline(conn)
+		ok := sc.Scan()
+		if kept {
+			s.unpark(conn)
+		}
+		if !ok {
+			if errors.Is(sc.Err(), ErrFrameTooLong) {
+				writeFrame(conn, tooLongFrame(""))
+			}
+			reason := scanEndReason(sc.Err())
+			switch {
+			case kept && reason == CloseEOF:
+				reason = CloseBye // the peer hung up after its last session's bye
+			case kept && s.draining.Load():
+				reason = CloseSessionDone // Shutdown closed the idle connection
+			}
+			s.met.connClosed(reason)
+			return
+		}
+		if kept {
+			// A kept connection's accept stage runs from the handshake's
+			// arrival, not across the idle gap before it.
+			start = time.Now()
+			s.met.connsReused.Inc()
+		}
+		if !s.serveSession(conn, sc, start, kept) {
+			return
+		}
 	}
+}
+
+// park registers conn as waiting between sessions, where Shutdown closes
+// it; false means the server is draining and conn must end now.
+func (s *Server) park(conn net.Conn) bool {
+	s.lnMu.Lock()
+	defer s.lnMu.Unlock()
+	if s.draining.Load() {
+		return false
+	}
+	if s.idle == nil {
+		s.idle = make(map[net.Conn]struct{})
+	}
+	s.idle[conn] = struct{}{}
+	return true
+}
+
+// unpark takes conn out of the idle set once a frame arrived on it (or
+// its read ended).
+func (s *Server) unpark(conn net.Conn) {
+	s.lnMu.Lock()
+	delete(s.idle, conn)
+	s.lnMu.Unlock()
+}
+
+// serveSession runs one session on conn, opened by the handshake frame sc
+// holds: the handshake (hello opens a session, resume reattaches to one),
+// then a reader loop ingesting frames and a writer goroutine pushing
+// latched frames back. The writer owns all writes after the handshake; it
+// exits when it wrote the goodbye, the session finishes or the transport
+// detaches, and the subscriber channel is never closed (so a drain-time
+// emit cannot panic). It reports whether conn may carry another session:
+// the session ended in a bye and its goodbye was written. kept says conn
+// already served one, so its first line is no cluster takeover.
+//
+// When the connection ends, a resumable session detaches — it keeps
+// running, frames latch into its record, and a later resume replays
+// them — while a plain session closes, exactly as before resumability
+// existed.
+func (s *Server) serveSession(conn net.Conn, sc *FrameScanner, start time.Time, kept bool) bool {
 	if sc.Binary() {
 		// The handshake (hello/resume) is always NDJSON; binary frames
 		// are only legal after negotiation.
@@ -159,22 +225,22 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.met.connClosed(CloseProtoError)
 		writeFrame(conn, ServerFrame{Type: FrameError,
 			Error: "server: binary frame before handshake"})
-		return
+		return false
 	}
 	// Cluster replication rides the same listener: the takeover hook peeks
-	// at the first line and, if it is a replication handshake, runs the
-	// whole replication dialog on this goroutine (the deferred Close still
-	// tears the conn down when it returns).
-	if h := s.cfg.Cluster; h != nil && h.Takeover != nil && h.Takeover(sc.Bytes(), conn) {
+	// at a connection's first line and, if it is a replication handshake,
+	// runs the whole replication dialog on this goroutine (handleConn's
+	// deferred Close still tears the conn down when it returns).
+	if h := s.cfg.Cluster; !kept && h != nil && h.Takeover != nil && h.Takeover(sc.Bytes(), conn) {
 		s.met.connClosed(CloseTakeover)
-		return
+		return false
 	}
 	first, err := DecodeClientFrame(sc.Bytes())
 	if err != nil {
 		s.met.protoErrors.Inc()
 		s.met.connClosed(CloseProtoError)
 		writeFrame(conn, ServerFrame{Type: FrameError, Error: err.Error()})
-		return
+		return false
 	}
 
 	att := newAttachment()
@@ -185,7 +251,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			s.met.protoErrors.Inc()
 			s.met.connClosed(CloseProtoError)
 			writeFrame(conn, ServerFrame{Type: FrameError, Error: err.Error()})
-			return
+			return false
 		}
 		cfg := SessionConfig{Processes: first.Processes, Watches: first.Watches, Resumable: first.Resumable, Bounded: first.Bounded, Durability: first.Durability}
 		if first.Session != "" {
@@ -197,20 +263,20 @@ func (s *Server) handleConn(conn net.Conn) {
 				s.met.connClosed(CloseProtoError)
 				writeFrame(conn, ServerFrame{Type: FrameError,
 					Error: "server: session key requires cluster mode"})
-				return
+				return false
 			case !first.Resumable:
 				s.met.protoErrors.Inc()
 				s.met.connClosed(CloseProtoError)
 				writeFrame(conn, ServerFrame{Type: FrameError,
 					Error: "server: keyed sessions must be resumable (replication needs sequenced frames)"})
-				return
+				return false
 			}
 			if h.Placement != nil {
 				if owner, ok := h.Placement(first.Session); !ok {
 					s.met.connClosed(CloseError)
 					writeFrame(conn, ServerFrame{Type: FrameError, Code: CodeNotOwner, Owner: owner,
 						Error: fmt.Sprintf("server: session key %q is not placed here; dial %s", first.Session, owner)})
-					return
+					return false
 				}
 			}
 			cfg.ID = first.Session
@@ -228,7 +294,7 @@ func (s *Server) handleConn(conn net.Conn) {
 				fr.Owner = rej.Owner
 			}
 			writeFrame(conn, fr)
-			return
+			return false
 		}
 		if cfg.ID != "" {
 			if h := s.cfg.Cluster; h != nil && h.OnOpen != nil {
@@ -253,13 +319,14 @@ func (s *Server) handleConn(conn net.Conn) {
 				fr.Owner = rej.Owner
 			}
 			writeFrame(conn, fr)
-			return
+			return false
 		}
 		welcome.Encoding = first.Encoding
 		if resumed == nil {
 			// Terminal replay: the session already finished and its key
 			// is retired with its record. Serve it and the goodbye, then
-			// close.
+			// close: the client's resume may be followed by frames of the
+			// finished session, which must not read as a next handshake.
 			if writeFrame(conn, welcome) == nil {
 				for _, fr := range replay {
 					if writeFrame(conn, fr) != nil {
@@ -268,7 +335,7 @@ func (s *Server) handleConn(conn net.Conn) {
 				}
 			}
 			s.met.connClosed(CloseSessionDone)
-			return
+			return false
 		}
 		sess = resumed
 		// The writer does not exist yet, so the handshake writes happen
@@ -280,13 +347,13 @@ func (s *Server) handleConn(conn net.Conn) {
 		if writeFrame(conn, welcome) != nil {
 			sess.detach(att)
 			s.met.connClosed(CloseError)
-			return
+			return false
 		}
 		for _, fr := range replay {
 			if writeFrame(conn, fr) != nil {
 				sess.detach(att)
 				s.met.connClosed(CloseError)
-				return
+				return false
 			}
 		}
 	default:
@@ -294,54 +361,42 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.met.connClosed(CloseProtoError)
 		writeFrame(conn, ServerFrame{Type: FrameError,
 			Error: fmt.Sprintf("server: first frame must be %q or %q, got %q", FrameHello, FrameResume, first.Type)})
-		return
+		return false
 	}
 
 	// The handshake is complete and the session attached: that interval
 	// is the accept stage. Its span parents under the session root so the
 	// trace shows which connection fed which session.
-	s.met.stage(StageAccept, time.Since(connStart))
+	s.met.stage(StageAccept, time.Since(start))
 	if s.cfg.Tracer != nil {
-		as := s.cfg.Tracer.StartAt("accept", sess.spanCtx(), connStart)
+		as := s.cfg.Tracer.StartAt("accept", sess.spanCtx(), start)
 		as.Set("service", "transport").Set("session", sess.id).Set("handshake", string(first.Type))
 		as.End()
 	}
 
 	writerDone := make(chan struct{})
+	var goodbyeAt time.Time
+	closed := false
 	go func() {
 		defer close(writerDone)
-		// Closing the conn here unblocks a reader parked in Scan when the
-		// session ends server-side (shutdown, idle timeout): the goodbye
-		// frame is flushed first by the drain below.
-		defer conn.Close()
-		var buf []byte
-		for {
-			select {
-			case fr := <-att.ch:
-				if writeBurst(conn, &buf, fr, att.ch) != nil {
-					return
-				}
-			case <-att.done:
-				// Transport detached (or handleConn is winding down after a
-				// bye). Flush what is already queued — the goodbye may be in
-				// here, and select may have picked this case over att.ch —
-				// then stop. Recorded frames that fail to flush replay on
-				// resume; a best-effort flush to a dead conn just errors out.
-				writeBurst(conn, &buf, nil, att.ch) //nolint:errcheck // stopping either way
-				return
-			case <-sess.Done():
-				// Flush frames emitted before Done closed, then stop.
-				writeBurst(conn, &buf, nil, att.ch) //nolint:errcheck // stopping either way
-				return
-			}
+		goodbyeAt = pushFrames(conn, att, sess.Done())
+		if att.byeAt.Load() == 0 {
+			// The close unblocks a reader parked in Scan when the session
+			// ends server-side (shutdown, idle timeout). After a bye the
+			// reader is not parked, and the connection is left to carry
+			// the next session.
+			conn.Close()
+			closed = true
 		}
 	}()
 
-	reason := s.readFrames(conn, sc, sess, first.Encoding == EncodingBinary)
-	// Reader finished: EOF, read error/timeout, seq gap, or session end.
-	// Counted before the teardown below closes the conn, so a client that
-	// sees the close finds it counted.
-	s.met.connClosed(reason)
+	reason := s.readFrames(conn, sc, sess, att, first.Encoding == EncodingBinary)
+	// Reader finished: EOF, read error/timeout, seq gap, bye, or session
+	// end. Counted before the teardown below closes the conn, so a client
+	// that sees the close finds it counted; a bye may leave it open.
+	if reason != CloseBye {
+		s.met.connClosed(reason)
+	}
 	if sess.Resumable() && reason != CloseBye {
 		// The session survives the connection: detach and wait for a
 		// resume. The idle janitor reclaims it if the client never
@@ -352,6 +407,45 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	att.close()
 	<-writerDone
+	if bye := att.byeAt.Load(); bye != 0 && !goodbyeAt.IsZero() {
+		s.met.stage(StageClose, goodbyeAt.Sub(time.Unix(0, bye)))
+	}
+	if reason != CloseBye {
+		return false
+	}
+	if !goodbyeAt.IsZero() && !closed {
+		return true
+	}
+	s.met.connClosed(CloseBye)
+	return false
+}
+
+// pushFrames is a session's writer: it writes the frames queued on
+// att.ch until it has written the goodbye, the transport detaches or the
+// session ends, and returns when it wrote the goodbye (zero if it did
+// not). The goodbye is the last frame it writes; a frame queued behind it
+// (a late ack) is dropped.
+func pushFrames(conn net.Conn, att *attachment, done <-chan struct{}) time.Time {
+	var buf []byte
+	for {
+		var fr *ServerFrame
+		select {
+		case fr = <-att.ch:
+		case <-att.done:
+		case <-done:
+		}
+		// On a detach or the session's end, flush what is already queued
+		// (the goodbye may be in there, and select may have picked this
+		// case over att.ch), then stop. Recorded frames that fail to
+		// flush replay on resume.
+		bye, err := writeBurst(conn, &buf, fr, att.ch)
+		switch {
+		case bye && err == nil:
+			return time.Now()
+		case err != nil || fr == nil:
+			return time.Time{}
+		}
+	}
 }
 
 // ingestFrame reports whether a frame type carries sequenced session
@@ -371,10 +465,11 @@ func ingestFrame(t string) bool {
 // resumable sessions: they would skip that triage, so an at-least-once
 // redelivery would be ingested twice.
 //
-// binEnc is the negotiated encoding: when true the connection may also
-// carry binary batch frames, decoded straight into pir.Batch with a
-// connection-scoped var table (a reconnect gets a fresh table on both
-// sides, so interning needs no handshake).
+// binEnc is the negotiated encoding: when true the session may also send
+// binary batch frames, decoded straight into pir.Batch with a
+// session-scoped var table (each session on a connection, and each
+// reconnect, starts a fresh table on both sides, so interning needs no
+// handshake).
 //
 // Every init/event line is a row of a batch unit, and ingest pays per
 // read, not per line: while whole init/event lines with the same id are
@@ -383,7 +478,7 @@ func ingestFrame(t string) bool {
 // as one batch. A line that arrives alone is a gather of one. The line
 // that ends a gather — any other frame, a malformed line, or another id —
 // is decoded inside the gather's window and processed on the next turn.
-func (s *Server) readFrames(conn net.Conn, sc *FrameScanner, sess *Session, binEnc bool) string {
+func (s *Server) readFrames(conn net.Conn, sc *FrameScanner, sess *Session, att *attachment, binEnc bool) string {
 	var (
 		vt   pir.VarTable
 		rows []ClientFrame // the lines of one gather
@@ -474,9 +569,11 @@ func (s *Server) readFrames(conn net.Conn, sc *FrameScanner, sess *Session, binE
 		}
 		switch f.Type {
 		case FrameBye:
-			// Orderly close: the loop drains, the writer flushes the
-			// goodbye and closes the conn. Wait here so the close reason
-			// is attributed to the bye, not to the ensuing EOF.
+			// Orderly close: the loop drains and the writer writes the
+			// goodbye. Wait here so the close reason is attributed to the
+			// bye; the reader reads nothing more of this session, so the
+			// connection can carry the next one.
+			att.byeAt.Store(time.Now().UnixNano())
 			sess.Close("bye")
 			<-sess.Done()
 			return CloseBye
